@@ -49,25 +49,11 @@ __all__ = [
 
 
 class SerpensEngine(SpMVEngine):
-    """The cycle-accurate Serpens simulator behind the engine contract.
+    """The cycle-accurate Serpens simulator behind the engine contract."""
 
-    ``mode`` selects the simulator execution engine and ``build_mode`` the
-    program builder ``prepare`` runs: ``"fast"`` (default, vectorised) or
-    ``"reference"`` (per-element oracle) for either; see
-    :data:`repro.serpens.EXECUTION_MODES` and
-    :data:`repro.preprocess.BUILD_MODES`.
-    """
-
-    def __init__(
-        self,
-        config: SerpensConfig = SERPENS_A16,
-        mode: str = "fast",
-        build_mode: str = "fast",
-    ):
+    def __init__(self, config: SerpensConfig = SERPENS_A16):
         self.config = config
-        self.mode = mode
-        self.build_mode = build_mode
-        self.accelerator = SerpensAccelerator(config, mode=mode, build_mode=build_mode)
+        self.accelerator = SerpensAccelerator(config)
         self.name = config.name.lower()
 
     def spec(self) -> EngineSpec:
@@ -117,8 +103,8 @@ class SerpensEngine(SpMVEngine):
         return self.config.to_partition_params()
 
     def program_key(self, fingerprint: str) -> str:
-        # Bare fingerprints keep the on-disk program layout of the historical
-        # SerpensRuntime; the cache's params check disambiguates builds.
+        # Bare fingerprints keep the on-disk program layout stable across
+        # releases; the cache's params check disambiguates builds.
         return fingerprint
 
 
@@ -309,10 +295,8 @@ class CPUEngine(SpMVEngine):
         return report
 
 
-def _a24_engine(
-    config: SerpensConfig = SERPENS_A24, mode: str = "fast", build_mode: str = "fast"
-) -> SerpensEngine:
-    return SerpensEngine(config, mode=mode, build_mode=build_mode)
+def _a24_engine(config: SerpensConfig = SERPENS_A24) -> SerpensEngine:
+    return SerpensEngine(config)
 
 
 #: (name, factory, description, aliases) of every built-in engine.

@@ -227,12 +227,7 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
         trace = generate_trace(
             args.scenario, args.requests, seed=args.seed, gap_scale=args.gap_scale
         )
-        pool = AcceleratorPool(
-            list(configs),
-            placement_policy=placement,
-            engine_mode=args.sim_mode,
-            build_mode=args.build_mode,
-        )
+        pool = AcceleratorPool(list(configs), placement_policy=placement)
         router = None
         if routed:
             # Calibrate the per-engine cost model on the trace's own matrix
@@ -328,8 +323,6 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
             with WorkerPool(
                 num_workers=args.workers,
                 engines=engine_names,
-                engine_mode=args.sim_mode,
-                build_mode=args.build_mode,
                 compute="simulate",
                 max_batch=args.max_batch,
                 results_path=args.results_db,
@@ -432,8 +425,6 @@ def _serve_bench_payload(args: argparse.Namespace, tracer=None):
         "a24": args.a24,
         "engines": args.engines,
         "pool": pool_label,
-        "sim_mode": args.sim_mode,
-        "build_mode": args.build_mode,
         "autotune": bool(args.autotune),
         "wall_clock": bool(getattr(args, "wall_clock", False)),
         "workers": getattr(args, "workers", None),
@@ -695,8 +686,6 @@ def _gate_args_from_config(config: Dict) -> argparse.Namespace:
         "--seed", str(config["seed"]),
         "--gap-scale", str(config["gap_scale"]),
         "--max-batch", str(config["max_batch"]),
-        "--sim-mode", str(config["sim_mode"]),
-        "--build-mode", str(config["build_mode"]),
     ]
     if config.get("cache_capacity") is not None:
         argv += ["--cache-capacity", str(config["cache_capacity"])]
@@ -1091,28 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "comma-separated backend registry names for a heterogeneous pool "
             "(e.g. 'serpens-a16,serpens-a24,sextans'; overrides --devices/--a24)"
-        ),
-    )
-    serving.add_argument(
-        "--sim-mode",
-        type=str,
-        default="fast",
-        choices=("fast", "reference"),
-        help=(
-            "simulator execution mode for the pool's Serpens engines: "
-            "'fast' (vectorised columnar engine) or 'reference' "
-            "(per-element datapath oracle)"
-        ),
-    )
-    serving.add_argument(
-        "--build-mode",
-        type=str,
-        default="fast",
-        choices=("fast", "reference"),
-        help=(
-            "program-builder mode for the pool's Serpens engines: 'fast' "
-            "(vectorised array builder) or 'reference' (per-element oracle); "
-            "this is the host preprocessing every cache miss pays"
         ),
     )
     serving.add_argument(

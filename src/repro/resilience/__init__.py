@@ -1,8 +1,9 @@
 """Resilience subsystem: declarative faults, retry/breaker policies, overload.
 
-Three leaf modules (stdlib + numpy only; this package never imports other
-first-party layers, so ``parallel``/``serve``/``cli`` may reach it lazily
-without creating cycles):
+Three leaf modules (stdlib + numpy, plus the dependency-free
+:mod:`repro.tomlsubset` loader; this package imports no other first-party
+layer, so ``parallel``/``serve``/``cli`` may reach it lazily without
+creating cycles):
 
 * :mod:`repro.resilience.faults` — typed, seeded fault plans (worker crash /
   hang / slowdown / shm attach failure / reply drop / engine misestimate)
@@ -24,7 +25,6 @@ from .faults import (
     WorkerFaultInjector,
     crash_plan,
     load_fault_plan,
-    merge_plans,
 )
 from .overload import (
     TIER_DEGRADED,
@@ -64,5 +64,4 @@ __all__ = [
     "breaker_states",
     "crash_plan",
     "load_fault_plan",
-    "merge_plans",
 ]

@@ -37,32 +37,14 @@ class SerpensAccelerator:
     ----------
     config:
         Architecture configuration; defaults to the paper's Serpens-A16.
-    mode:
-        Simulator execution mode: ``"fast"`` (default, vectorised columnar
-        engine) or ``"reference"`` (per-element datapath model).  Both are
-        bit-identical in results, cycles and traffic.
-    build_mode:
-        Program builder for :meth:`preprocess`: ``"fast"`` (default, the
-        vectorised array builder) or ``"reference"`` (the per-element
-        oracle).  Both produce bit-identical programs.
+
+    Programs come from the vectorised builder and run on the columnar
+    simulator engine.  The per-element oracles behind both (in
+    :func:`~repro.preprocess.build_program` and :class:`SerpensSimulator`)
+    are bit-identical; only the equivalence tests and benchmarks select them.
     """
 
     config: SerpensConfig = SERPENS_A16
-    mode: str = "fast"
-    build_mode: str = "fast"
-
-    def __post_init__(self) -> None:
-        from ..preprocess import BUILD_MODES
-        from .simulator import EXECUTION_MODES
-
-        if self.mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {self.mode!r}; use one of {EXECUTION_MODES}"
-            )
-        if self.build_mode not in BUILD_MODES:
-            raise ValueError(
-                f"unknown build mode {self.build_mode!r}; use one of {BUILD_MODES}"
-            )
 
     # ------------------------------------------------------------------
     # Capability queries
@@ -86,9 +68,7 @@ class SerpensAccelerator:
         """Run the host-side preprocessing once, for reuse across many runs."""
         if isinstance(matrix, CSRMatrix):
             matrix = matrix.to_coo()
-        return build_program(
-            matrix, self.config.to_partition_params(), build_mode=self.build_mode
-        )
+        return build_program(matrix, self.config.to_partition_params())
 
     # ------------------------------------------------------------------
     # Execution
@@ -113,7 +93,7 @@ class SerpensAccelerator:
             matrix = matrix.to_coo()
         if program is None:
             program = self.preprocess(matrix)
-        simulator = SerpensSimulator(self.config, mode=self.mode)
+        simulator = SerpensSimulator(self.config)
         result: SimulationResult = simulator.run(program, x, y, alpha, beta)
         report = self._report(
             matrix_name,

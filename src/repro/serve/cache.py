@@ -1,4 +1,4 @@
-"""Capacity-bounded program cache shared by the runtime and the serving layer.
+"""Capacity-bounded program cache shared by the Session and the serving layer.
 
 Preprocessing a matrix into a :class:`~repro.preprocess.SerpensProgram` costs
 seconds of host CPU time; a deployment amortises it by keeping programs
@@ -13,7 +13,7 @@ resident and reusing them across thousands of launches.  The
 
 Keys are caller-chosen strings.  A :class:`~repro.backends.Session` keys by
 the engine's ``program_key`` (bare matrix fingerprints for Serpens engines,
-preserving the historical ``SerpensRuntime`` disk layout); the
+so the on-disk layout stays stable across releases); the
 multi-accelerator :class:`~repro.serve.service.SpMVService` appends a
 configuration tag so mixed pools never share an incompatible program.
 Payloads that are not :class:`~repro.preprocess.SerpensProgram` instances

@@ -21,8 +21,8 @@ from repro.analysis import (
     load_config,
     run_rules,
 )
-from repro.analysis.config import _parse_toml_subset
 from repro.cli import main
+from repro.tomlsubset import parse_toml_subset
 
 
 def write_tree(root: Path, files: dict) -> Path:
@@ -301,7 +301,7 @@ class TestConfig:
         tomllib = pytest.importorskip("tomllib")
         config = load_config()
         text = config.path.read_text()
-        assert _parse_toml_subset(text) == tomllib.loads(text)
+        assert parse_toml_subset(text) == tomllib.loads(text)
 
     def test_committed_config_declares_the_load_bearing_absences(self):
         config = load_config()

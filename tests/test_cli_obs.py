@@ -1,11 +1,14 @@
 """CLI observability: --json/--trace/--results-db and the results command."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _gate_args_from_config, main
 from repro.obs import ResultsStore, emit_bench_snapshot, load_bench_snapshot
+
+COMMITTED_BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_serve.json"
 
 BENCH = [
     "serve-bench",
@@ -191,6 +194,22 @@ class TestResultsGate:
         code, out = run_cli(["results", "gate", "--baseline", str(baseline)], capsys)
         assert code == 0
         assert "PASSED" in out
+
+
+    def test_gate_args_replay_the_committed_config(self):
+        # The committed baseline predates the removal of the engine-selector
+        # flags and still stores sim_mode/build_mode; it must replay as is.
+        config = load_bench_snapshot(COMMITTED_BASELINE)["config"]
+        assert {"sim_mode", "build_mode"} <= set(config)
+        args = _gate_args_from_config(config)
+        assert args.experiment == "serve-bench"
+        assert args.scenario == config["scenario"]
+        assert args.requests == config["requests"]
+        assert args.seed == config["seed"]
+        assert args.max_batch == config["max_batch"]
+        assert args.devices == config["devices"]
+        assert args.wall_clock == config["wall_clock"]
+        assert args.workers == config["workers"]
 
 
 class TestExistingCliStillWorks:

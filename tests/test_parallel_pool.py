@@ -11,6 +11,7 @@ import pytest
 
 from repro.obs import ResultsStore
 from repro.parallel import WorkerPool
+from repro.resilience import crash_plan
 from repro.serve import SpMVService, generate_trace
 from repro.spmv import spmv
 
@@ -89,7 +90,7 @@ class TestFaultInjection:
         with WorkerPool(
             num_workers=2,
             compute="simulate",
-            fail_on_batch={0: 0},
+            fault_plan=crash_plan({0: 0}),
             batch_timeout=15.0,
         ) as pool:
             report = pool.run_trace(trace)

@@ -5,7 +5,7 @@ the per-element reference pipeline: identical encoded words, identical lane
 schedules (slot order and padding bubbles), identical reorder statistics and
 identical packed columnar arrays.  These tests prove that contract across
 the generator suite, the ablation configurations and a Hypothesis property
-sweep, and cover the bulk codecs plus the build-mode threading through the
+sweep, and cover the bulk codecs plus the prepare-time telemetry of the
 session/serving stack.
 """
 
@@ -385,20 +385,12 @@ class TestProgramBackCompat:
 
 
 class TestBuildModeThreading:
-    def test_accelerator_build_mode(self):
-        from repro.serpens import SerpensAccelerator
-
-        accelerator = SerpensAccelerator(small_config(), build_mode="reference")
-        matrix = random_uniform(60, 60, 300, seed=10)
-        program = accelerator.preprocess(matrix)
-        assert program._segments is not None  # reference path builds objects
-        with pytest.raises(ValueError, match="build mode"):
-            SerpensAccelerator(small_config(), build_mode="bogus")
+    """Host preprocessing cost as the session and the service report it."""
 
     def test_session_records_prepare_seconds(self):
         from repro.backends import Session
 
-        session = Session(small_config(), build_mode="fast")
+        session = Session(small_config())
         matrix = random_uniform(60, 60, 300, seed=11)
         handle = session.register(matrix, "m")
         stats = session.statistics(handle)
@@ -407,22 +399,6 @@ class TestBuildModeThreading:
         # re-registering the same content must not add prepare time
         session.register(matrix, "m")
         assert session.statistics(handle)["prepare_seconds"] == stats["prepare_seconds"]
-
-    def test_session_build_mode_tolerated_by_modeless_engines(self):
-        from repro.backends import Session
-
-        session = Session("cpu", build_mode="reference")
-        matrix = random_uniform(40, 40, 200, seed=12)
-        handle = session.register(matrix, "m")
-        y, __ = session.launch(handle, np.ones(40))
-        assert y.shape == (40,)
-
-    def test_pool_threads_build_mode(self):
-        from repro.serve import AcceleratorPool
-
-        pool = AcceleratorPool([small_config()], build_mode="reference")
-        assert pool.devices[0].engine.build_mode == "reference"
-        assert pool.build_mode == "reference"
 
     def test_service_surfaces_prepare_telemetry(self):
         from repro.serve import SpMVService
@@ -443,9 +419,3 @@ class TestBuildModeThreading:
         service.submit(handle, np.ones(60))
         second = service.drain()
         assert second.telemetry.prepare_count == 0
-
-    def test_cli_build_mode_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["serve-bench", "--build-mode", "reference"])
-        assert args.build_mode == "reference"

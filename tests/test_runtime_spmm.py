@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.apps import conjugate_gradient
+from repro.backends import Session
 from repro.generators import laplacian_2d, random_uniform
-from repro.runtime import SerpensRuntime
 from repro.serpens import SerpensAccelerator, SerpensConfig
 from repro.serpens.spmm import estimate_spmm, spmm_via_spmv
 from repro.spmv import spmv
@@ -72,85 +72,91 @@ class TestSpMMViaSpMV:
 
 
 class TestSerpensRuntime:
+    """A :class:`~repro.backends.Session` bound to one Serpens build.
+
+    The host-runtime surface: register once, launch many times, cache
+    programs (in memory and on disk) and aggregate statistics.
+    """
+
     def test_register_and_launch(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         matrix = random_uniform(200, 180, 2000, seed=7)
-        handle = runtime.register(matrix, name="demo")
+        handle = session.register(matrix, name="demo")
         assert handle.nnz == matrix.nnz
 
         x = np.random.default_rng(8).uniform(-1, 1, 180)
-        y, report = runtime.launch(handle, x)
+        y, report = session.launch(handle, x)
         np.testing.assert_allclose(y, spmv(matrix, x), rtol=1e-4, atol=1e-5)
         assert report.matrix_name == "demo"
 
     def test_duplicate_registration_same_name_returns_same_handle(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         matrix = random_uniform(100, 100, 600, seed=9)
-        h1 = runtime.register(matrix, name="a")
-        h2 = runtime.register(matrix.copy(), name="a")
+        h1 = session.register(matrix, name="a")
+        h2 = session.register(matrix.copy(), name="a")
         assert h1 == h2
-        assert len(runtime.registered_handles) == 1
+        assert len(session.registered_handles) == 1
 
     def test_duplicate_registration_new_name_records_alias(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         matrix = random_uniform(100, 100, 600, seed=9)
-        h1 = runtime.register(matrix, name="a")
-        h2 = runtime.register(matrix.copy(), name="b")
+        h1 = session.register(matrix, name="a")
+        h2 = session.register(matrix.copy(), name="b")
         # The caller gets back the name it asked for, not the old one.
         assert h2.name == "b"
         assert h1.name == "a"
         assert h1.fingerprint == h2.fingerprint
         # One matrix is registered (preprocessing ran once); "b" is an alias.
-        assert len(runtime.registered_handles) == 1
-        assert runtime.aliases(h1) == (h2,)
+        assert len(session.registered_handles) == 1
+        assert session.aliases(h1) == (h2,)
         # Re-registering either name returns the recorded handle.
-        assert runtime.register(matrix, name="a") == h1
-        assert runtime.register(matrix, name="b") == h2
+        assert session.register(matrix, name="a") == h1
+        assert session.register(matrix, name="b") == h2
         # Both handles launch against the same cached program.
         x = np.ones(100)
-        y_a, report_a = runtime.launch(h1, x)
-        y_b, report_b = runtime.launch(h2, x)
+        y_a, report_a = session.launch(h1, x)
+        y_b, report_b = session.launch(h2, x)
         np.testing.assert_allclose(y_a, y_b)
         assert report_a.matrix_name == "a"
         assert report_b.matrix_name == "b"
 
     def test_statistics_accumulate(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         matrix = random_uniform(120, 120, 900, seed=10)
-        handle = runtime.register(matrix)
+        handle = session.register(matrix)
         x = np.ones(120)
         for __ in range(3):
-            runtime.launch(handle, x)
-        stats = runtime.statistics(handle)
+            session.launch(handle, x)
+        stats = session.statistics(handle)
         assert stats["launches"] == 3
         assert stats["traversed_edges"] == 3 * matrix.nnz
         assert stats["accelerator_seconds"] > 0
-        assert runtime.statistics()["registered_matrices"] == 1
+        assert session.statistics()["registered_matrices"] == 1
 
     def test_capacity_check_on_register(self):
-        runtime = SerpensRuntime(config=small_config(uram_depth=8))
+        session = Session(small_config(uram_depth=8))
         matrix = random_uniform(10_000, 16, 100, seed=11)
         with pytest.raises(ValueError):
-            runtime.register(matrix)
+            session.register(matrix)
 
     def test_unknown_handle_rejected(self):
-        runtime_a = SerpensRuntime(config=small_config())
-        runtime_b = SerpensRuntime(config=small_config())
+        session_a = Session(small_config())
+        session_b = Session(small_config())
         matrix = random_uniform(50, 50, 200, seed=12)
-        handle = runtime_a.register(matrix)
+        handle = session_a.register(matrix)
         with pytest.raises(KeyError):
-            runtime_b.launch(handle, np.ones(50))
+            session_b.launch(handle, np.ones(50))
 
     def test_disk_cache_roundtrip(self, tmp_path):
         matrix = random_uniform(150, 150, 1200, seed=13)
-        first = SerpensRuntime(config=small_config(), cache_dir=tmp_path)
+        first = Session(small_config(), cache_dir=tmp_path)
         first.register(matrix, name="cached")
         cached_files = list(tmp_path.glob("serpens_program_*.npz"))
         assert len(cached_files) == 1
 
-        # A fresh runtime picks the program up from disk and still computes
+        # A fresh session picks the program up from disk and still computes
         # the correct result.
-        second = SerpensRuntime(config=small_config(), cache_dir=tmp_path)
+        second = Session(small_config(), cache_dir=tmp_path)
         handle = second.register(matrix, name="cached")
         x = np.random.default_rng(14).uniform(-1, 1, 150)
         y, __ = second.launch(handle, x)
@@ -158,61 +164,59 @@ class TestSerpensRuntime:
 
     def test_cache_ignored_for_different_configuration(self, tmp_path):
         matrix = random_uniform(100, 100, 700, seed=15)
-        SerpensRuntime(config=small_config(), cache_dir=tmp_path).register(matrix)
-        other = SerpensRuntime(
-            config=small_config(segment_width=64), cache_dir=tmp_path
-        )
+        Session(small_config(), cache_dir=tmp_path).register(matrix)
+        other = Session(small_config(segment_width=64), cache_dir=tmp_path)
         handle = other.register(matrix)
         y, __ = other.launch(handle, np.ones(100))
         np.testing.assert_allclose(y, spmv(matrix, np.ones(100)), rtol=1e-4, atol=1e-5)
 
     def test_estimate_through_runtime(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         matrix = random_uniform(300, 300, 3000, seed=16)
-        handle = runtime.register(matrix)
-        report = runtime.estimate(handle)
+        handle = session.register(matrix)
+        report = session.estimate(handle)
         assert report.cycles > 0
 
     def test_spmv_callable_plugs_into_solvers(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         a = laplacian_2d(10, 10)
-        handle = runtime.register(a, name="laplacian")
+        handle = session.register(a, name="laplacian")
         b = np.ones(a.num_rows)
-        result = conjugate_gradient(a, b, tolerance=1e-8, spmv_fn=runtime.spmv_callable(handle))
+        result = conjugate_gradient(a, b, tolerance=1e-8, spmv_fn=session.spmv_callable(handle))
         assert result.converged
         np.testing.assert_allclose(spmv(a, result.x), b, atol=1e-5)
-        assert runtime.statistics(handle)["launches"] == result.spmv_calls
+        assert session.statistics(handle)["launches"] == result.spmv_calls
 
     def test_spmv_callable_rejects_other_matrices(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         a = random_uniform(60, 60, 300, seed=17)
         other = random_uniform(60, 60, 300, seed=18)
-        hook = runtime.spmv_callable(runtime.register(a))
+        hook = session.spmv_callable(session.register(a))
         with pytest.raises(ValueError):
             hook(other, np.ones(60), None, 1.0, 0.0)
 
     def test_spmv_callable_accepts_equal_content(self):
         # An equal-content copy (different object, same fingerprint) passes
         # the bound-matrix check and launches.
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         a = random_uniform(60, 60, 300, seed=17)
-        hook = runtime.spmv_callable(runtime.register(a))
+        hook = session.spmv_callable(session.register(a))
         y = hook(a.copy(), np.ones(60), None, 1.0, 0.0)
         np.testing.assert_allclose(y, spmv(a, np.ones(60)), rtol=1e-4, atol=1e-5)
 
     def test_statistics_aggregate_per_matrix_and_session(self):
-        runtime = SerpensRuntime(config=small_config())
+        session = Session(small_config())
         a = random_uniform(80, 80, 400, seed=19)
         b = random_uniform(90, 90, 500, seed=20)
-        ha = runtime.register(a, name="a")
-        hb = runtime.register(b, name="b")
+        ha = session.register(a, name="a")
+        hb = session.register(b, name="b")
         for __ in range(2):
-            runtime.launch(ha, np.ones(80))
-        runtime.launch(hb, np.ones(90))
+            session.launch(ha, np.ones(80))
+        session.launch(hb, np.ones(90))
 
-        stats_a = runtime.statistics(ha)
-        stats_b = runtime.statistics(hb)
-        overall = runtime.statistics()
+        stats_a = session.statistics(ha)
+        stats_b = session.statistics(hb)
+        overall = session.statistics()
         assert stats_a["launches"] == 2
         assert stats_a["traversed_edges"] == 2 * a.nnz
         assert stats_b["launches"] == 1
@@ -223,7 +227,3 @@ class TestSerpensRuntime:
         assert overall["accelerator_seconds"] == pytest.approx(
             stats_a["accelerator_seconds"] + stats_b["accelerator_seconds"]
         )
-
-    def test_runtime_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="SerpensRuntime is deprecated"):
-            SerpensRuntime(config=small_config())

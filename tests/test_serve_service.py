@@ -237,13 +237,13 @@ class TestTelemetryAndDeterminism:
         assert "Per-device utilisation" in rendered
 
     def test_shared_cache_with_runtime(self):
-        from repro.runtime import SerpensRuntime
+        from repro.backends import Session
 
         shared = ProgramCache(capacity=8)
         config = small_config()
-        runtime = SerpensRuntime(config=config, program_cache=shared)
+        session = Session(config, program_cache=shared)
         matrix = random_uniform(90, 90, 500, seed=17)
-        runtime.register(matrix)
+        session.register(matrix)
         service = SpMVService(
             pool=AcceleratorPool.homogeneous(1, config),
             cache=shared,
@@ -252,7 +252,7 @@ class TestTelemetryAndDeterminism:
         handle = service.register(matrix)
         service.submit(handle, np.ones(90))
         service.drain()
-        # Runtime and service key differently (the service appends the
+        # Session and service key differently (the service appends the
         # device configuration), so each contributes one build ...
         assert shared.misses == 2
         service.submit(handle, np.ones(90))
