@@ -655,11 +655,13 @@ def _tune(args: argparse.Namespace) -> str:
 #: Default location of the committed serve-bench regression baseline.
 DEFAULT_BENCH_BASELINE = "benchmarks/BENCH_serve.json"
 
-#: Gate tolerance for measured wall-clock variants.  Real processes on a
-#: shared CI box are far noisier than the deterministic model — one global
-#: 5% band would flap constantly; these wide bands still catch order-of-
-#: magnitude regressions (a serialised pool, a lost-batch stall).
-WALLCLOCK_NOISE_BANDS = {"latency_p95_ms": 0.75, "throughput_rps": 0.60}
+#: Gate tolerance for measured wall-clock variants, derived from measured
+#: spread: 12 repeats of the pinned 240-request ``mixed`` run (2 workers, on a
+#: 2-vCPU host) stored the median-throughput run and saw single runs fall up
+#: to 33% below its throughput and rise up to 43% above its p95; each band
+#: is 1.5x that worst regressing deviation.  A launch that rebuilds the
+#: simulator's hardware state (~93% lower throughput) fails both.
+WALLCLOCK_NOISE_BANDS = {"latency_p95_ms": 0.65, "throughput_rps": 0.50}
 
 
 def _wallclock_variant_bands(variants) -> Optional[Dict[str, Dict[str, float]]]:

@@ -26,7 +26,7 @@ bit-identical to the reference model's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 import numpy as np
 
@@ -164,8 +164,11 @@ class ColumnarProgram:
     ``validation_cache`` memoises the simulator's hazard-scan / address-check
     verdict (total hazard violations) per simulator
     :class:`~repro.preprocess.PartitionParams`, so repeated launches of a
-    warm program skip the per-run validation pass; it is bookkeeping, not
-    identity, and is excluded from equality.
+    warm program skip the per-run validation pass.  ``launch_cache`` holds,
+    per simulator params, the fast engine's plan for a validated program
+    (per-element output rows and x columns plus the x-independent cycle,
+    traffic and utilisation accounting), filled on its first launch.  Both
+    are bookkeeping, not identity, and are excluded from equality.
     """
 
     params: PartitionParams
@@ -174,6 +177,9 @@ class ColumnarProgram:
     nnz: int
     segments: List[ColumnarSegment]
     validation_cache: Dict[PartitionParams, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    launch_cache: Dict[PartitionParams, Any] = field(
         default_factory=dict, compare=False, repr=False
     )
 

@@ -20,19 +20,29 @@ window or touches off-chip memory randomly.
 
 Two execution modes produce that result:
 
-* ``mode="fast"`` (default) runs the columnar engine: each segment's lane
+* ``mode="fast"`` (default) runs the columnar engine.  Each segment's lane
   streams are decoded once into packed NumPy arrays
-  (:meth:`~repro.preprocess.SerpensProgram.columnar`), the fp32 multiplies
-  and accumulations are vectorised (``np.add.at`` preserves the per-row
-  accumulation order, so the numerics are bit-identical to the per-element
-  model), and the hazard window is checked with a sorted per-URAM-entry
-  issue-cycle scan instead of per-element dict tracking.
+  (:meth:`~repro.preprocess.SerpensProgram.columnar`).  The first launch of
+  a program on a build validates it (a sorted per-URAM-entry issue-cycle
+  scan for the hazard window, plus address checks) and plans it: every
+  element's global output row and x column, and the x-independent
+  accounting (cycle breakdown, traffic by role, utilisation), all cached on
+  the columnar program per build.  A warm launch is then one fp32 kernel —
+  gather x, multiply, ``np.add.at`` into a ``num_rows`` accumulator — plus
+  the ``alpha`` / ``beta`` scaling.  ``np.add.at`` applies each row's
+  products in array order, which is the per-element model's accumulation
+  order, so the numerics are bit-identical to it.
 * ``mode="reference"`` replays every encoded element through the
-  :class:`~repro.serpens.pe.ProcessingEngine` datapath model.  It is orders
-  of magnitude slower and exists as the verification oracle the fast path is
-  proven against (and as the only engine that can *emulate* broken hardware:
-  with ``strict_hazard_check=False`` a hazardful stream needs element-by-
-  element stale-read modelling, so the fast path delegates that case to it).
+  :class:`~repro.serpens.pe.ProcessingEngine` datapath model and streams its
+  traffic through the board's :class:`~repro.hbm.BoardMemorySystem`.  It is
+  orders of magnitude slower and exists as the verification oracle the fast
+  path is proven against (and as the only engine that can *emulate* broken
+  hardware: with ``strict_hazard_check=False`` a hazardful stream needs
+  element-by-element stale-read modelling, so the fast path delegates that
+  case to it on every launch).
+
+The PEs and the memory system are built on first access, so only the
+reference engine pays for them; the fast engine never touches either.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ import numpy as np
 from ..formats import COOMatrix
 from ..hbm import BoardMemorySystem, FLOATS_PER_WORD
 from ..preprocess import (
+    ColumnarProgram,
     ColumnarSegment,
     PartitionParams,
     SerpensProgram,
@@ -103,16 +114,50 @@ class SimulationResult:
         return self.cycles.total
 
 
-@dataclass
-class _Phase1Outcome:
-    """What either execution engine hands back from the compute phase."""
+@dataclass(frozen=True)
+class _Accounting:
+    """The x-independent part of a run: cycles, traffic, utilisation, hazards."""
 
-    accumulated: np.ndarray
     x_stream_cycles: int
+    y_stream_cycles: int
     compute_cycles: int
-    lane_slots: np.ndarray
-    lane_real: np.ndarray
+    pe_utilisation: float
+    busy_pe_utilisation: float
+    traffic_by_role: Dict[str, int]
     hazard_violations: int
+
+    def result(self, y: np.ndarray) -> SimulationResult:
+        """A run's result; every mutable part is a fresh object per call."""
+        return SimulationResult(
+            y=y,
+            cycles=CycleBreakdown(
+                x_stream_cycles=self.x_stream_cycles,
+                y_stream_cycles=self.y_stream_cycles,
+                compute_cycles=self.compute_cycles,
+                overhead_cycles=0,
+            ),
+            pe_utilisation=self.pe_utilisation,
+            bytes_moved=sum(self.traffic_by_role.values()),
+            traffic_by_role=dict(self.traffic_by_role),
+            busy_pe_utilisation=self.busy_pe_utilisation,
+            hazard_violations=self.hazard_violations,
+        )
+
+
+@dataclass(frozen=True)
+class _FastPlan:
+    """What a warm fast launch reuses, cached per build on the columnar program.
+
+    ``columns``, ``values`` and ``targets`` are parallel over every element
+    that lands in the output (all segments, in segment order, each in its
+    lane-major slot order): the global x column it multiplies, its fp32
+    value, and the global row it accumulates into.
+    """
+
+    columns: np.ndarray
+    values: np.ndarray
+    targets: np.ndarray
+    accounting: _Accounting
 
 
 class SerpensSimulator:
@@ -146,32 +191,40 @@ class SerpensSimulator:
         self.params: PartitionParams = config.to_partition_params()
         self.strict_hazard_check = strict_hazard_check
         self.mode = mode
-        self.memory = self._build_memory_system()
-        self.pes = self._build_pes()
+        self._memory: Optional[BoardMemorySystem] = None
+        self._pes: Optional[List[ProcessingEngine]] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Hardware state, built on first access (only the reference engine)
     # ------------------------------------------------------------------
-    def _build_memory_system(self) -> BoardMemorySystem:
-        memory = BoardMemorySystem()
-        memory.allocate("sparse_A", self.config.num_sparse_channels, kind="hbm")
-        memory.allocate("dense_x", 1, kind="hbm")
-        memory.allocate("dense_y_in", 1, kind="hbm")
-        memory.allocate("dense_y_out", 1, kind="hbm")
-        return memory
+    @property
+    def memory(self) -> BoardMemorySystem:
+        """The board's channel allocation; the reference engine's traffic."""
+        if self._memory is None:
+            memory = BoardMemorySystem()
+            memory.allocate("sparse_A", self.config.num_sparse_channels, kind="hbm")
+            memory.allocate("dense_x", 1, kind="hbm")
+            memory.allocate("dense_y_in", 1, kind="hbm")
+            memory.allocate("dense_y_out", 1, kind="hbm")
+            self._memory = memory
+        return self._memory
 
-    def _build_pes(self) -> List[ProcessingEngine]:
-        entries = self.params.urams_per_pe * self.params.uram_depth
-        return [
-            ProcessingEngine(
-                pe_id=pe,
-                num_entries=entries,
-                rows_per_entry=self.params.rows_per_uram_entry,
-                dsp_latency=self.params.dsp_latency,
-                strict_hazard_check=self.strict_hazard_check,
-            )
-            for pe in range(self.params.total_pes)
-        ]
+    @property
+    def pes(self) -> List[ProcessingEngine]:
+        """One datapath model per PE, each with its URAM accumulation buffer."""
+        if self._pes is None:
+            entries = self.params.urams_per_pe * self.params.uram_depth
+            self._pes = [
+                ProcessingEngine(
+                    pe_id=pe,
+                    num_entries=entries,
+                    rows_per_entry=self.params.rows_per_uram_entry,
+                    dsp_latency=self.params.dsp_latency,
+                    strict_hazard_check=self.strict_hazard_check,
+                )
+                for pe in range(self.params.total_pes)
+            ]
+        return self._pes
 
     # ------------------------------------------------------------------
     # Simulation
@@ -212,58 +265,28 @@ class SerpensSimulator:
             if y_in.shape != (program.num_rows,):
                 raise ValueError(f"y must have length {program.num_rows}, got {y_in.shape}")
 
-        self.memory.reset_traffic()
-        for pe in self.pes:
-            pe.reset_accumulator()
-
-        x_channel = self.memory.allocation("dense_x")[0]
-        y_in_channel = self.memory.allocation("dense_y_in")[0]
-        y_out_channel = self.memory.allocation("dense_y_out")[0]
-        sparse_channels = self.memory.allocation("sparse_A")
-
-        # --------------------------------------------------------------
-        # Phase 1: per-segment x streaming and sparse computation.
-        # --------------------------------------------------------------
-        if self.mode == "fast":
-            phase1 = self._phase1_fast(program, x, x_channel, sparse_channels)
+        plan = self._fast_plan(program) if self.mode == "fast" else None
+        if plan is None:
+            accumulated, accounting = self._run_reference(program, x)
         else:
-            phase1 = self._phase1_reference(program, x, x_channel, sparse_channels)
-
-        # --------------------------------------------------------------
-        # Phase 2: drain accumulators through CompY and write y.
-        # --------------------------------------------------------------
-        y_out = alpha * phase1.accumulated + beta * y_in
-
-        y_in_channel.stream_read(4 * program.num_rows)
-        y_out_channel.stream_write(4 * program.num_rows)
-        y_stream_cycles = -(-program.num_rows // FLOATS_PER_WORD)
-
-        mean_utilisation, busy_utilisation = _utilisation_summary(
-            phase1.lane_slots, phase1.lane_real
-        )
-
-        breakdown = CycleBreakdown(
-            x_stream_cycles=phase1.x_stream_cycles,
-            y_stream_cycles=y_stream_cycles,
-            compute_cycles=phase1.compute_cycles,
-            overhead_cycles=0,
-        )
-        return SimulationResult(
-            y=y_out,
-            cycles=breakdown,
-            pe_utilisation=mean_utilisation,
-            bytes_moved=self.memory.total_bytes,
-            traffic_by_role=self.memory.traffic_by_role(),
-            busy_pe_utilisation=busy_utilisation,
-            hazard_violations=phase1.hazard_violations,
-        )
+            accumulated, accounting = _fast_kernel(plan, program.num_rows, x), plan.accounting
+        # CompY: drain the accumulators, scale and write y.
+        return accounting.result(alpha * accumulated + beta * y_in)
 
     # ------------------------------------------------------------------
     # Reference engine: one ProcessingEngine.process call per issue slot
     # ------------------------------------------------------------------
-    def _phase1_reference(
-        self, program: SerpensProgram, x: np.ndarray, x_channel, sparse_channels
-    ) -> _Phase1Outcome:
+    def _run_reference(
+        self, program: SerpensProgram, x: np.ndarray
+    ) -> Tuple[np.ndarray, _Accounting]:
+        memory = self.memory
+        memory.reset_traffic()
+        for pe in self.pes:
+            pe.reset_accumulator()
+        x_channel = memory.allocation("dense_x")[0]
+        sparse_channels = memory.allocation("sparse_A")
+
+        # Phase 1: per-segment x streaming and sparse computation.
         x_stream_cycles = 0
         compute_cycles = 0
         global_cycle = 0
@@ -300,16 +323,24 @@ class SerpensSimulator:
             # hazard window across the boundary.
             global_cycle += segment_slots + self.params.dsp_latency
 
-        return _Phase1Outcome(
-            accumulated=self._gather_output(program.num_rows),
+        # Phase 2: RdY streams y_in while WrY writes the result back.
+        memory.allocation("dense_y_in")[0].stream_read(4 * program.num_rows)
+        memory.allocation("dense_y_out")[0].stream_write(4 * program.num_rows)
+
+        mean_utilisation, busy_utilisation = _utilisation_summary(
+            np.array([pe.cycles_busy for pe in self.pes], dtype=np.int64),
+            np.array([pe.elements_processed for pe in self.pes], dtype=np.int64),
+        )
+        accounting = _Accounting(
             x_stream_cycles=x_stream_cycles,
+            y_stream_cycles=_y_stream_cycles(program.num_rows),
             compute_cycles=compute_cycles,
-            lane_slots=np.array([pe.cycles_busy for pe in self.pes], dtype=np.int64),
-            lane_real=np.array(
-                [pe.elements_processed for pe in self.pes], dtype=np.int64
-            ),
+            pe_utilisation=mean_utilisation,
+            busy_pe_utilisation=busy_utilisation,
+            traffic_by_role=memory.traffic_by_role(),
             hazard_violations=sum(pe.hazard_violations for pe in self.pes),
         )
+        return self._gather_output(program.num_rows), accounting
 
     def _gather_output(self, num_rows: int) -> np.ndarray:
         """Drain every PE's accumulator back into a global row vector."""
@@ -354,50 +385,71 @@ class SerpensSimulator:
         lane = program_pe % program_params.pes_per_channel
         return channel * self.params.pes_per_channel + lane
 
-    def _phase1_fast(
-        self, program: SerpensProgram, x: np.ndarray, x_channel, sparse_channels
-    ) -> _Phase1Outcome:
+    def _fast_plan(self, program: SerpensProgram) -> Optional[_FastPlan]:
+        """This build's cached plan for ``program``, made on its first launch.
+
+        Returns ``None`` for a hazardful stream under
+        ``strict_hazard_check=False``: broken-hardware numerics depend on
+        element-by-element stale reads, so every such launch runs the
+        reference engine, and nothing about it is cached but the verdict.
+        """
         columnar = program.columnar()
         params = self.params
-        rows_per_pe = params.rows_per_pe
+        plan = columnar.launch_cache.get(params)
+        if plan is not None:
+            return plan
         pe_remap = self._remap_program_pes(program.params)
 
         # Vectorised hazard scan plus address validation over every segment,
-        # before any state is touched.  The verdict is a pure function of
-        # (program, simulator params), so it is cached on the columnar view
-        # and repeated launches skip the O(nnz log nnz) scan entirely.  A
-        # violating stream either raises (strict mode) or — since broken-
-        # hardware numerics depend on element-by-element stale reads — sends
-        # the whole run through the reference engine, which models them.
+        # before anything is planned.  The verdict is a pure function of
+        # (program, simulator params), so it is cached on the columnar view.
+        # A violating stream either raises (strict mode) or goes to the
+        # reference engine, which models the stale reads.
         violations = columnar.validation_cache.get(params)
         if violations is None:
             violations = 0
             for segment in columnar.segments:
                 if segment.value.size:
-                    self._check_addresses(segment, rows_per_pe)
+                    self._check_addresses(segment, params.rows_per_pe)
                 violations += self._scan_hazards(segment, pe_remap, False)
             columnar.validation_cache[params] = violations
         if violations:
             if self.strict_hazard_check:
                 for segment in columnar.segments:  # cold path: re-find the
                     self._scan_hazards(segment, pe_remap, True)  # first pair
-            return self._phase1_reference(program, x, x_channel, sparse_channels)
+            return None
 
-        accumulator = np.zeros(params.total_pes * rows_per_pe, dtype=np.float32)
-        x32 = x.astype(np.float32)
+        plan = self._plan(columnar, pe_remap)
+        columnar.launch_cache[params] = plan
+        return plan
+
+    def _plan(
+        self, columnar: ColumnarProgram, pe_remap: Optional[np.ndarray]
+    ) -> _FastPlan:
+        """Gather indices and accounting of a validated program on this build."""
+        params = self.params
+        num_rows = columnar.num_rows
         x_stream_cycles = 0
         compute_cycles = 0
+        sparse_bytes = 0
+        x_bytes = 0
         lane_slots = np.zeros(params.total_pes, dtype=np.int64)
         lane_real = np.zeros(params.total_pes, dtype=np.int64)
+        columns: List[np.ndarray] = []
+        values: List[np.ndarray] = []
+        targets: List[np.ndarray] = []
 
         for segment in columnar.segments:
             segment_length = segment.segment_length
-            x_channel.stream_read(4 * segment_length)
+            x_bytes += 4 * segment_length
             x_stream_cycles += -(-segment_length // FLOATS_PER_WORD)
-            for channel, slots in enumerate(segment.channel_slots):
-                sparse_channels[channel].stream_read(
-                    8 * int(slots) * params.pes_per_channel
+            if segment.channel_slots.size > params.num_channels:
+                raise IndexError(
+                    f"program streams {segment.channel_slots.size} sparse channels "
+                    f"but this build has {params.num_channels}"
                 )
+            # Every issue slot of every lane is an 8-byte element in HBM.
+            sparse_bytes += 8 * int(segment.channel_slots.sum()) * params.pes_per_channel
             compute_cycles += segment.compute_slots
             if pe_remap is None:
                 lane_slots += segment.lane_slots
@@ -408,26 +460,45 @@ class SerpensSimulator:
 
             if segment.value.size == 0:
                 continue
-            # fp32 multiply against the resident x segment, then an ordered
-            # grouped accumulate: np.add.at applies repeated indices in array
-            # order, which is each accumulator's lane slot order — exactly
-            # the reference model's fp32 accumulation sequence.
-            products = segment.value * x32[segment.col_start : segment.col_end][
-                segment.column_offset
-            ]
             pe = segment.pe.astype(np.int64)
             if pe_remap is not None:
                 pe = pe_remap[pe]
-            flat_index = pe * rows_per_pe + segment.local_row.astype(np.int64)
-            np.add.at(accumulator, flat_index, products)
+            # (PE, local row) -> global row is a bijection on this build, so
+            # each row keeps exactly its own elements in their lane slot
+            # order.  A cross-config replay can land elements on rows past
+            # the matrix; those never reach y and are dropped.
+            rows = local_to_global_row(pe, segment.local_row, params)
+            keep = rows < num_rows
+            segment_columns = segment.col_start + segment.column_offset.astype(np.intp)
+            segment_values = segment.value
+            if not keep.all():
+                rows = rows[keep]
+                segment_columns = segment_columns[keep]
+                segment_values = segment_values[keep]
+            columns.append(segment_columns)
+            values.append(segment_values)
+            targets.append(rows.astype(np.intp, copy=False))
 
-        return _Phase1Outcome(
-            accumulated=self._gather_fast(accumulator, program.num_rows, rows_per_pe),
+        mean_utilisation, busy_utilisation = _utilisation_summary(lane_slots, lane_real)
+        accounting = _Accounting(
             x_stream_cycles=x_stream_cycles,
+            y_stream_cycles=_y_stream_cycles(num_rows),
             compute_cycles=compute_cycles,
-            lane_slots=lane_slots,
-            lane_real=lane_real,
+            pe_utilisation=mean_utilisation,
+            busy_pe_utilisation=busy_utilisation,
+            traffic_by_role={
+                "sparse_A": sparse_bytes,
+                "dense_x": x_bytes,
+                "dense_y_in": 4 * num_rows,
+                "dense_y_out": 4 * num_rows,
+            },
             hazard_violations=0,
+        )
+        return _FastPlan(
+            columns=_concatenate(columns, np.intp),
+            values=_concatenate(values, np.float32),
+            targets=_concatenate(targets, np.intp),
+            accounting=accounting,
         )
 
     def _check_addresses(self, segment: ColumnarSegment, rows_per_pe: int) -> None:
@@ -503,19 +574,30 @@ class SerpensSimulator:
             )
         return count
 
-    def _gather_fast(
-        self, accumulator: np.ndarray, num_rows: int, rows_per_pe: int
-    ) -> np.ndarray:
-        """Drain the flat accumulator into a global row vector."""
-        if num_rows == 0:
-            return np.zeros(0, dtype=np.float64)
-        from ..preprocess import map_rows
 
-        mapping = map_rows(np.arange(num_rows, dtype=np.int64), self.params)
-        flat_index = mapping.pe * rows_per_pe + mapping.local_row
-        # repro: ignore[RPR201] fp32 accumulation is already complete; the
-        # widening here is the float64 output ABI shared with the oracle.
-        return accumulator[flat_index].astype(np.float64)
+def _fast_kernel(plan: _FastPlan, num_rows: int, x: np.ndarray) -> np.ndarray:
+    """One warm fast launch: fp32 gather-multiply, then ordered accumulate."""
+    accumulator = np.zeros(num_rows, dtype=np.float32)
+    # np.add.at applies repeated indices in array order, which is each row's
+    # lane slot order — exactly the reference model's fp32 sequence.
+    np.add.at(accumulator, plan.targets, plan.values * x.astype(np.float32)[plan.columns])
+    # repro: ignore[RPR201] fp32 accumulation is already complete; the
+    # widening here is the float64 output ABI shared with the oracle.
+    return accumulator.astype(np.float64)
+
+
+def _concatenate(parts: List[np.ndarray], dtype) -> np.ndarray:
+    """One flat array from per-segment parts, without copying a lone part."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts)
+
+
+def _y_stream_cycles(num_rows: int) -> int:
+    """RdY and WrY stream y in parallel, 16 floats per cycle."""
+    return -(-num_rows // FLOATS_PER_WORD)
 
 
 def _utilisation_summary(
