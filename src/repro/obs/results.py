@@ -64,11 +64,14 @@ DEFAULT_NOISE_BANDS: Dict[str, float] = {
     "cache_hit_rate": 0.02,
     "mean_queue_depth": 0.10,
     "prepare_seconds": 0.50,
+    # A pure count wherever it is gated (modelled variants, and the measured
+    # pool at saturation), so any drop is a real change in batching.
+    "mean_batch_size": 0.0,
 }
 
 #: Metrics that regress when they go up / down.
 LOWER_IS_BETTER = ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms", "prepare_seconds")
-HIGHER_IS_BETTER = ("throughput_rps", "aggregate_mteps", "cache_hit_rate")
+HIGHER_IS_BETTER = ("throughput_rps", "aggregate_mteps", "cache_hit_rate", "mean_batch_size")
 
 
 def current_git_rev(repo_root: Optional[Union[str, Path]] = None) -> str:

@@ -7,16 +7,23 @@ prebuilt programs over shared memory (:mod:`repro.parallel.shm`), and reports
 measured wall-clock latency percentiles and aggregate throughput next to the
 modelled numbers.
 
+Batches are formed by *release-step batching*: every step of the run loop
+releases the requests that have come due and groups them by matrix, oldest
+first, in chunks of ``max_batch``, through the same FIFO
+:class:`~repro.serve.Scheduler` the virtual-time service batches with.  A
+resident matrix is then streamed once for as many vectors as are waiting
+for it, and no request is ever served before it is due.
+
 Wall-clock mode drives load two ways.  The default is a *saturation*
-benchmark: arrival gaps are not replayed — every request is available up
-front, batches are dispatched as worker inflight slots free, and a request's
-latency is measured from its batch entering the worker's queue to its result
-arriving back, so makespan and throughput measure the pool at full load, the
-regime the paper's bandwidth argument is about.
-``run_trace(..., open_loop=True)`` instead *releases* each batch at its
-first request's recorded arrival time (stretchable via ``arrival_scale``)
-and measures latency from that release, so queueing, deadlines and shedding
-reflect the trace's arrival process.
+benchmark: arrival gaps are not replayed — every request is due at the
+first step, batches are dispatched as worker inflight slots free, and a
+request's latency is measured from its batch entering the worker's queue to
+its result arriving back, so makespan and throughput measure the pool at
+full load, the regime the paper's bandwidth argument is about.
+``run_trace(..., open_loop=True)`` instead makes each request due at its
+recorded arrival time (stretchable via ``arrival_scale``) and measures its
+latency from that due time, so queueing, deadlines and shedding reflect the
+trace's arrival process.
 
 Robustness, because real processes die:
 
@@ -67,6 +74,7 @@ from ..formats import COOMatrix
 from ..preprocess import SerpensProgram
 from ..serve.cache import matrix_fingerprint
 from ..serve.loadgen import LoadTrace
+from ..serve.scheduler import Request, Scheduler
 from ..spmv import spmv
 from .shm import ShmBlock, share_coo, share_program
 from .worker import BatchResult, WorkBatch, WorkerConfig, worker_main
@@ -153,6 +161,8 @@ class WallClockReport:
     hedges: int = 0
     #: Fault specs in the installed plan (0 = fault-free run).
     faults_planned: int = 0
+    #: Batches of this run shed whole (deadline expired before dispatch).
+    shed_batches: int = 0
 
     def latencies(self) -> List[float]:
         return [r.latency_seconds for r in self.results if not r.shed]
@@ -171,6 +181,7 @@ class WallClockReport:
         completed = self.completed
         latencies_ms = sorted(r.latency_seconds * 1e3 for r in completed)
         span = max(self.makespan_seconds, 1e-12)
+        served_batches = self.batches - self.shed_batches
 
         def percentile(fraction: float) -> float:
             if not latencies_ms:
@@ -185,8 +196,9 @@ class WallClockReport:
             "throughput_rps": len(completed) / span,
             "aggregate_mteps": self.traversed_edges / span / 1e6,
             "makespan_seconds": self.makespan_seconds,
+            # Served requests over served batches: shed batches serve none.
             "mean_batch_size": (
-                len(completed) / self.batches if self.batches else 0.0
+                len(completed) / served_batches if served_batches else 0.0
             ),
             "engine_cycles_total": self.engine_cycles,
             "workers": float(self.num_workers),
@@ -241,18 +253,128 @@ class _BatchState:
 
     batch: WorkBatch
     worker_id: int
-    requests: List[Tuple[int, str]]  # (request_id, tenant)
+    #: (request_id, tenant, due time as an absolute ``perf_counter``)
+    requests: List[Tuple[int, str, float]]
     matrix: _Registered
     enqueued_at: float = 0.0
     #: Dispatches so far (the RetryPolicy's attempt counter).
     attempts: int = 0
     #: Retry backoff: not dispatchable before this ``perf_counter`` time.
     not_before: float = 0.0
-    #: Open-loop release (absolute ``perf_counter``); 0 = immediately.
-    release_at: float = 0.0
     #: Absolute deadline; past it the batch is shed instead of dispatched.
     deadline_at: Optional[float] = None
     hedged: bool = False
+    shed: bool = False
+
+
+class _Releaser:
+    """Release-step batching for one :meth:`WorkerPool.run_trace`.
+
+    Each request carries its due time as an offset from the run's start in
+    ``Request.arrival_time`` (0 in saturation mode).  :meth:`release` admits
+    every request due by ``now`` into a FIFO
+    :class:`~repro.serve.Scheduler` and drains it, so the requests released
+    in one step are grouped by matrix, oldest first, in chunks of
+    ``max_batch``; each formed batch gets the next id (0..B-1 per run) and
+    an ``enqueue`` event.
+    """
+
+    def __init__(
+        self,
+        requests: List[Request],
+        entries: Mapping[str, _Registered],
+        max_batch: int,
+        deadline_s: Optional[float],
+        emit,
+    ) -> None:
+        # Stable sort: requests due together keep their trace order.
+        self._requests = sorted(requests, key=lambda r: r.arrival_time)
+        self._entries = entries
+        self._scheduler = Scheduler(policy="fifo", max_batch=max_batch)
+        self._deadline_s = deadline_s
+        self._emit = emit
+        self._cursor = 0
+        self.started = 0.0
+        self.batches: List[_BatchState] = []
+
+    def next_due(self) -> Optional[float]:
+        """Due time of the next unreleased request, ``None`` when none."""
+        if self._cursor == len(self._requests):
+            return None
+        return self.started + self._requests[self._cursor].arrival_time
+
+    def release(self, now: float) -> List[_BatchState]:
+        """Batch every request due by ``now`` that is not yet released."""
+        requests = self._requests
+        while (
+            self._cursor < len(requests)
+            and self.started + requests[self._cursor].arrival_time <= now
+        ):
+            self._scheduler.admit(requests[self._cursor])
+            self._cursor += 1
+        formed: List[_BatchState] = []
+        while True:
+            members = self._scheduler.next_batch()
+            if not members:
+                return formed
+            entry = self._entries[members[0].fingerprint]
+            state = _BatchState(
+                batch=WorkBatch(
+                    batch_id=len(self.batches),
+                    matrix_key=entry.key,
+                    request_ids=tuple(r.request_id for r in members),
+                    xs=tuple(r.x for r in members),
+                ),
+                worker_id=entry.home,
+                requests=[
+                    (r.request_id, r.tenant, self.started + r.arrival_time)
+                    for r in members
+                ],
+                matrix=entry,
+            )
+            if self._deadline_s is not None:
+                # The budget runs from the oldest member's due time.
+                state.deadline_at = state.requests[0][2] + self._deadline_s
+            self.batches.append(state)
+            formed.append(state)
+            self._emit(
+                "enqueue",
+                batch=state.batch.batch_id,
+                matrix=entry.name,
+                requests=len(members),
+                home=entry.home,
+            )
+
+
+def _batch_results(
+    state: _BatchState,
+    ys: Sequence[Optional[np.ndarray]],
+    worker_id: int,
+    now: float,
+    open_loop: bool,
+    shed_reason: str = "",
+) -> List[WallClockResult]:
+    """One result per request of a resolved batch.
+
+    Open-loop latency runs from each request's own due time; saturation
+    latency from the batch's (last) dispatch.
+    """
+    return [
+        WallClockResult(
+            request_id=request_id,
+            matrix_name=state.matrix.name,
+            tenant=tenant,
+            worker_id=worker_id,
+            y=y,
+            latency_seconds=max(
+                0.0, now - (due_at if open_loop else state.enqueued_at or now)
+            ),
+            batch_size=len(state.requests),
+            shed=bool(shed_reason),
+            shed_reason=shed_reason,
+        )
+        for (request_id, tenant, due_at), y in zip(state.requests, ys)
+    ]
 
 
 def _pump_replies(source, sink: "queue_module.Queue", worker_id: int = -1) -> None:
@@ -804,13 +926,20 @@ class WorkerPool:
         """Serve a load trace and measure it on the wall clock.
 
         ``hints`` optionally maps workload names to router engine-name
-        preference lists (see :meth:`register`).  ``open_loop=True`` replays
-        the trace's recorded arrival gaps (stretched by ``arrival_scale``)
-        instead of the saturation drive, and latency is measured from each
-        batch's release.  ``deadline_s`` gives every request that budget
-        from its release; a batch whose deadline has expired at dispatch
-        time is shed (``y=None``, ``shed_reason="deadline"``) instead of
-        served late.
+        preference lists (see :meth:`register`).
+
+        Batches come from release-step batching: each step of the run loop
+        releases every request that has come due and groups the released
+        requests by matrix, oldest first, in chunks of ``max_batch``
+        (:class:`~repro.serve.Scheduler` with the FIFO policy); only then
+        does it dispatch.  In the default saturation drive every request
+        is due at the first step, and latency is measured from dispatch.
+        ``open_loop=True`` makes each request due at its recorded arrival
+        time (stretched by ``arrival_scale``) and measures its latency from
+        that due time.  ``deadline_s`` gives every request that budget from
+        its due time; a batch whose oldest member's deadline has expired at
+        dispatch time is shed (``y=None``, ``shed_reason="deadline"``)
+        instead of served late.
         """
         if self._closed:
             raise RuntimeError("pool is shut down")
@@ -834,32 +963,43 @@ class WorkerPool:
                 )
         else:
             keys = [matrix_fingerprint(w.matrix) for w in trace.matrices]
-        batches = self._build_batches(trace, keys)
-        for state in batches:
-            self._emit(
-                "enqueue",
-                batch=state.batch.batch_id,
-                matrix=state.matrix.name,
-                requests=len(state.requests),
-                home=state.worker_id,
-            )
-        run_started = time.perf_counter()
-        for state in batches:
-            if open_loop:
-                first = state.batch.request_ids[0]
-                state.release_at = run_started + (
-                    trace.requests[first].arrival_time * arrival_scale
+        entries: Dict[str, _Registered] = {}
+        for workload, key in zip(trace.matrices, keys):
+            if key not in entries:
+                entries[key] = self._registered.get(key) or _Registered(
+                    key=key,
+                    name=workload.name,
+                    matrix=workload.matrix,
+                    home=-1,
+                    coo_block=None,  # inline-only: nothing is shared
                 )
-            if deadline_s is not None:
-                base = state.release_at if open_loop else run_started
-                state.deadline_at = base + deadline_s
+        # The x vectors are derived before the clock starts; a request's due
+        # time is its offset from the run's start (0 at saturation).
+        scale = arrival_scale if open_loop else 0.0
+        requests = [
+            Request(
+                request_id=index,
+                tenant=request.tenant,
+                fingerprint=keys[request.matrix_id],
+                x=trace.x_vector(
+                    request, trace.matrices[request.matrix_id].matrix.num_cols
+                ),
+                arrival_time=request.arrival_time * scale,
+            )
+            for index, request in enumerate(trace.requests)
+        ]
+        releaser = _Releaser(
+            requests, entries, self.max_batch, deadline_s, self._emit
+        )
+        run_started = releaser.started = time.perf_counter()
         if not self.num_workers or not started_ok:
-            results, cycles, edges = self._run_inline(trace, batches)
+            results, cycles, edges = self._run_inline(releaser, open_loop)
         else:
             results, cycles, edges = self._run_pooled(
-                trace, batches, open_loop=open_loop
+                releaser, len(requests), open_loop
             )
         makespan = time.perf_counter() - run_started
+        batches = releaser.batches
         results.sort(key=lambda r: r.request_id)
         report = WallClockReport(
             scenario=trace.scenario,
@@ -885,6 +1025,7 @@ class WorkerPool:
             shed_requests=self.shed_requests,
             hedges=self.hedges,
             faults_planned=len(self._plan.faults) if self._plan is not None else 0,
+            shed_batches=sum(1 for state in batches if state.shed),
         )
         if self._metrics is not None:
             self._publish_metrics(report)
@@ -905,70 +1046,13 @@ class WorkerPool:
                 state.set(float(breaker.state_code), worker=worker_id)
                 trips.set(float(breaker.trips), worker=worker_id)
 
-    def _build_batches(
-        self, trace: LoadTrace, keys: List[str]
-    ) -> List[_BatchState]:
-        """Group consecutive same-matrix requests into bounded batches."""
-        states: List[_BatchState] = []
-        current: List[Tuple[int, str, np.ndarray]] = []
-        current_matrix: Optional[int] = None
-
-        def flush() -> None:
-            nonlocal current
-            if not current:
-                return
-            key = keys[current_matrix]
-            entry = self._registered.get(key)
-            matrix = (
-                entry.matrix
-                if entry is not None
-                else trace.matrices[current_matrix].matrix
-            )
-            if entry is None:
-                entry = _Registered(
-                    key=key,
-                    name=trace.matrices[current_matrix].name,
-                    matrix=matrix,
-                    home=-1,
-                    coo_block=None,  # inline-only: nothing is shared
-                )
-            states.append(
-                _BatchState(
-                    batch=WorkBatch(
-                        batch_id=len(states),
-                        matrix_key=key,
-                        request_ids=tuple(rid for rid, _, __ in current),
-                        xs=tuple(x for _, __, x in current),
-                    ),
-                    worker_id=entry.home,
-                    requests=[(rid, tenant) for rid, tenant, _ in current],
-                    matrix=entry,
-                )
-            )
-            current = []
-
-        for index, request in enumerate(trace.requests):
-            if (
-                request.matrix_id != current_matrix
-                or len(current) >= self.max_batch
-            ):
-                flush()
-                current_matrix = request.matrix_id
-            num_cols = trace.matrices[request.matrix_id].matrix.num_cols
-            current.append(
-                (index, request.tenant, trace.x_vector(request, num_cols))
-            )
-        flush()
-        return states
-
     def _run_pooled(
-        self, trace: LoadTrace, batches: List[_BatchState], open_loop: bool = False
+        self, releaser: _Releaser, total_requests: int, open_loop: bool
     ) -> Tuple[List[WallClockResult], float, float]:
         ready: Dict[int, Deque[_BatchState]] = {
             slot.worker_id: deque() for slot in self._slots
         }
-        for state in batches:
-            ready[state.worker_id].append(state)
+        states_by_id: Dict[int, _BatchState] = {}
         inflight: Dict[int, _BatchState] = {}
         completed: Set[int] = set()
         results: List[WallClockResult] = []
@@ -976,14 +1060,11 @@ class WorkerPool:
         cycles = 0.0
         edges = 0.0
 
-        def eligible(state: _BatchState, now: float) -> bool:
-            return state.release_at <= now and state.not_before <= now
-
         def pop_eligible(
             queue: Deque[_BatchState], now: float, newest: bool = False
         ) -> Optional[_BatchState]:
             for state in reversed(queue) if newest else queue:
-                if eligible(state, now):
+                if state.not_before <= now:
                     queue.remove(state)
                     return state
             return None
@@ -1003,6 +1084,7 @@ class WorkerPool:
                 return
             completed.add(state.batch.batch_id)
             inflight.pop(state.batch.batch_id, None)
+            state.shed = True
             self.shed_requests += len(state.requests)
             if reason == "deadline":
                 self.deadline_misses += len(state.requests)
@@ -1012,21 +1094,12 @@ class WorkerPool:
                 requests=len(state.requests),
                 reason=reason,
             )
-            base = state.release_at or state.enqueued_at or now
-            for request_id, tenant in state.requests:
-                results.append(
-                    WallClockResult(
-                        request_id=request_id,
-                        matrix_name=state.matrix.name,
-                        tenant=tenant,
-                        worker_id=-1,
-                        y=None,
-                        latency_seconds=max(0.0, now - base),
-                        batch_size=len(state.requests),
-                        shed=True,
-                        shed_reason=reason,
-                    )
+            results.extend(
+                _batch_results(
+                    state, [None] * len(state.requests), -1, now, open_loop,
+                    shed_reason=reason,
                 )
+            )
 
         def dispatch() -> None:
             now = time.perf_counter()
@@ -1086,23 +1159,9 @@ class WorkerPool:
             )
             cycles += result.engine_cycles
             edges += float(len(state.requests)) * state.matrix.matrix.nnz
-            base = (
-                state.release_at
-                if open_loop and state.release_at
-                else state.enqueued_at
+            results.extend(
+                _batch_results(state, result.ys, worker_id, now, open_loop)
             )
-            for (request_id, tenant), y in zip(state.requests, result.ys):
-                results.append(
-                    WallClockResult(
-                        request_id=request_id,
-                        matrix_name=state.matrix.name,
-                        tenant=tenant,
-                        worker_id=worker_id,
-                        y=y,
-                        latency_seconds=now - base,
-                        batch_size=len(state.requests),
-                    )
-                )
 
         def hedge_stragglers(now: float) -> None:
             """Duplicate over-age inflight batches onto a second worker.
@@ -1165,28 +1224,23 @@ class WorkerPool:
                     complete(state, self._execute_inline_state(state), worker_id=-1)
                     return
 
-        states_by_id = {state.batch.batch_id: state for state in batches}
-
         def poll_timeout(now: float) -> float:
-            if not open_loop:
+            due = releaser.next_due()
+            if due is None:
                 return 0.25
-            future = [
-                s.release_at
-                for s in states_by_id.values()
-                if s.batch.batch_id not in completed
-                and s.batch.batch_id not in inflight
-                and s.release_at > now
-            ]
-            if not future:
-                return 0.25
-            return min(0.25, max(0.005, min(future) - now))
+            return min(0.25, max(0.001, due - now))
 
         # Health passes must not be starved by a steady reply stream from
         # healthy workers: a wedged worker's batch would otherwise wait for
         # total silence before the timeout could fire.
         health_interval = min(1.0, max(0.05, self.batch_timeout / 4.0))
         last_health = time.perf_counter()
-        while len(completed) < len(batches):
+        # One result per request, shed or served: the run is over when
+        # every request is resolved.
+        while len(results) < total_requests:
+            for state in releaser.release(time.perf_counter()):
+                states_by_id[state.batch.batch_id] = state
+                ready[state.worker_id].append(state)
             dispatch()
             msg = self._next_message(timeout=poll_timeout(time.perf_counter()))
             if msg is not None:
@@ -1214,7 +1268,7 @@ class WorkerPool:
             last_health = now
             hedge_stragglers(now)
             self._recover_dead_workers(
-                inflight, ready, completed, complete, len(batches)
+                inflight, ready, completed, complete, len(states_by_id)
             )
             degrade_if_starved(time.perf_counter())
         return results, cycles, edges
@@ -1367,28 +1421,24 @@ class WorkerPool:
         )
 
     def _run_inline(
-        self, trace: LoadTrace, batches: List[_BatchState]
+        self, releaser: _Releaser, open_loop: bool
     ) -> Tuple[List[WallClockResult], float, float]:
         """Serve the whole trace in the parent (num_workers=0 / pool down)."""
         results: List[WallClockResult] = []
         cycles = 0.0
         edges = 0.0
-        for state in batches:
-            state.enqueued_at = time.perf_counter()
-            result = self._execute_inline_state(state)
-            now = time.perf_counter()
-            cycles += result.engine_cycles
-            edges += float(len(state.requests)) * state.matrix.matrix.nnz
-            for (request_id, tenant), y in zip(state.requests, result.ys):
-                results.append(
-                    WallClockResult(
-                        request_id=request_id,
-                        matrix_name=state.matrix.name,
-                        tenant=tenant,
-                        worker_id=-1,
-                        y=y,
-                        latency_seconds=now - state.enqueued_at,
-                        batch_size=len(state.requests),
+        while True:
+            for state in releaser.release(time.perf_counter()):
+                state.enqueued_at = time.perf_counter()
+                result = self._execute_inline_state(state)
+                cycles += result.engine_cycles
+                edges += float(len(state.requests)) * state.matrix.matrix.nnz
+                results.extend(
+                    _batch_results(
+                        state, result.ys, -1, time.perf_counter(), open_loop
                     )
                 )
-        return results, cycles, edges
+            due = releaser.next_due()
+            if due is None:
+                return results, cycles, edges
+            time.sleep(max(0.0, due - time.perf_counter()))

@@ -101,6 +101,8 @@ class Scheduler:
         self.tracer = tracer
         self.overload = overload
         self._queues: "OrderedDict[str, Deque[Request]]" = OrderedDict()
+        #: Requests queued across every matrix (kept as a running count).
+        self._depth = 0
         self._cost_fn: Optional[Callable[[str], float]] = None
         self._seq = 0
         self._sjf_fallback_warned = False
@@ -129,7 +131,7 @@ class Scheduler:
     @property
     def depth(self) -> int:
         """Requests currently queued."""
-        return sum(len(q) for q in self._queues.values())
+        return self._depth
 
     def admit(self, request: Request, estimated_cost: float = 0.0) -> bool:
         """Queue a request; returns ``False`` when it is shed.
@@ -157,6 +159,7 @@ class Scheduler:
         if request.deadline is not None:
             self._has_deadlines = True
         self._queues.setdefault(request.fingerprint, deque()).append(request)
+        self._depth += 1
         self.admitted += 1
         self.peak_depth = max(self.peak_depth, self.depth)
         self._trace_admission("admit", request)
@@ -193,6 +196,7 @@ class Scheduler:
                     self._queues[fingerprint] = keep
                 else:
                     del self._queues[fingerprint]
+        self._depth -= len(expired)
         for request in expired:
             self.rejected += 1
             self.shed_reasons["deadline_expired"] = (
@@ -262,6 +266,7 @@ class Scheduler:
         batch = [queue.popleft() for __ in range(min(self.max_batch, len(queue)))]
         if not queue:
             del self._queues[fingerprint]
+        self._depth -= len(batch)
         self.dispatched += len(batch)
         self.batches += 1
         self.dispatch_counts[fingerprint] = (

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _gate_args_from_config, main
-from repro.obs import ResultsStore, emit_bench_snapshot, load_bench_snapshot
+from repro.obs import (
+    ResultsStore,
+    emit_bench_snapshot,
+    load_bench_snapshot,
+    regression_gate,
+)
 
 COMMITTED_BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_serve.json"
 
@@ -195,6 +200,25 @@ class TestResultsGate:
         assert code == 0
         assert "PASSED" in out
 
+
+    def test_committed_gate_holds_batch_size_exactly(self):
+        # mean_batch_size is a pure count at saturation: a wall-clock run
+        # that batches any worse fails the committed gate, however fast.
+        baseline = load_bench_snapshot(COMMITTED_BASELINE)
+        assert "mean_batch_size" in baseline["gate_metrics"]
+        assert baseline["noise_bands"]["mean_batch_size"] == 0.0
+        variants = {k: dict(v) for k, v in baseline["variants"].items()}
+        assert regression_gate(baseline, variants).passed
+        wallclock = variants["wallclock-w2"]
+        wallclock["mean_batch_size"] -= 0.01
+        wallclock["throughput_rps"] *= 2.0
+        result = regression_gate(baseline, variants)
+        assert not result.passed
+        assert result.failures == [
+            f"wallclock-w2: mean_batch_size regressed "
+            f"{baseline['variants']['wallclock-w2']['mean_batch_size']:.6g} → "
+            f"{wallclock['mean_batch_size']:.6g} (band ±0%)"
+        ]
 
     def test_gate_args_replay_the_committed_config(self):
         # The committed baseline predates the removal of the engine-selector

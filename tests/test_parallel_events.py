@@ -98,6 +98,49 @@ class TestPoolEventShards:
             assert pool.event_shard_paths() == []
 
 
+class TestRoundEventContract:
+    """Per round: an enqueue burst from batch 0, then dispatches and replies.
+
+    This is the shape the repository benchmark's pool layer breakdown reads.
+    """
+
+    @pytest.mark.parametrize(
+        "drive",
+        [{}, {"open_loop": True, "arrival_scale": 1e-12}],
+        ids=["saturation", "open-loop-all-due"],
+    )
+    def test_enqueue_burst_precedes_dispatch_in_every_round(self, tmp_path, drive):
+        prefix = tmp_path / "rounds"
+        trace = generate_trace("mixed", 60, seed=1)
+        with WorkerPool(
+            num_workers=2, compute="simulate", max_batch=8,
+            events_path=str(prefix),
+        ) as pool:
+            reports = [pool.run_trace(trace, **drive) for __ in range(2)]
+        merged = MergedEvents.from_prefix(prefix)
+        records = sorted(
+            (r for r in merged.records if r.get("source") == "pool"),
+            key=lambda r: r["seq"],
+        )
+        rounds = []
+        for record in records:
+            if record["kind"] == "enqueue" and record["batch"] == 0:
+                rounds.append([])
+            if record["kind"] in ("enqueue", "dispatch", "reply") and rounds:
+                rounds[-1].append(record)
+        assert len(rounds) == 2
+        for report, events in zip(reports, rounds):
+            kinds = [r["kind"] for r in events]
+            burst = kinds.index("dispatch")
+            assert set(kinds[:burst]) == {"enqueue"}
+            assert "enqueue" not in kinds[burst:]
+            enqueued = [r["batch"] for r in events[:burst]]
+            assert enqueued == list(range(report.batches))
+            assert sum(r["requests"] for r in events[:burst]) == 60
+            replied = sorted(r["batch"] for r in events if r["kind"] == "reply")
+            assert replied == enqueued
+
+
 class TestCrashSurvival:
     """S1: a killed worker's pre-crash spans survive in the merged trace."""
 

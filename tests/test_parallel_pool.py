@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 from repro.obs import ResultsStore
-from repro.parallel import WorkerPool
+from repro.parallel import WallClockReport, WallClockResult, WorkerPool
+from repro.parallel import pool as pool_module
 from repro.resilience import crash_plan
-from repro.serve import SpMVService, generate_trace
+from repro.serve import (
+    Request,
+    Scheduler,
+    SpMVService,
+    generate_trace,
+    matrix_fingerprint,
+)
 from repro.spmv import spmv
 
 SCENARIO = "solver-burst"
@@ -112,6 +119,142 @@ class TestFaultInjection:
             report = pool.run_trace(trace)
         for result in report.results:
             np.testing.assert_array_equal(result.y, golden[result.request_id])
+
+
+def fifo_batches(trace, max_batch):
+    """Request ids per batch, as a FIFO Scheduler batches the whole trace."""
+    scheduler = Scheduler(policy="fifo", max_batch=max_batch)
+    for index, request in enumerate(trace.requests):
+        matrix = trace.matrices[request.matrix_id].matrix
+        scheduler.admit(
+            Request(
+                request_id=index,
+                tenant=request.tenant,
+                fingerprint=matrix_fingerprint(matrix),
+                x=np.zeros(0),
+            )
+        )
+    batches = []
+    while True:
+        batch = scheduler.next_batch()
+        if not batch:
+            return batches
+        batches.append(tuple(r.request_id for r in batch))
+
+
+@pytest.fixture
+def releasers(monkeypatch):
+    """Every release-step batcher a run builds, kept for inspection."""
+    built = []
+
+    class Recording(pool_module._Releaser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(pool_module, "_Releaser", Recording)
+    return built
+
+
+class TestReleaseStepBatching:
+    """Requests due in the same step are batched by matrix, not adjacency."""
+
+    @pytest.mark.parametrize(
+        "drive",
+        [{}, {"open_loop": True, "arrival_scale": 1e-12}],
+        ids=["saturation", "open-loop-all-due"],
+    )
+    def test_batches_match_the_fifo_scheduler(self, releasers, drive):
+        trace = generate_trace("mixed", 60, seed=1)
+        expected = fifo_batches(trace, max_batch=8)
+        with WorkerPool(num_workers=2, compute="none", max_batch=8) as pool:
+            report = pool.run_trace(trace, **drive)
+        (releaser,) = releasers
+        formed = [state.batch.request_ids for state in releaser.batches]
+        assert formed == expected
+        assert [state.batch.batch_id for state in releaser.batches] == list(
+            range(len(expected))
+        )
+        assert report.batches == len(expected)
+        assert report.snapshot()["mean_batch_size"] == 60 / len(expected)
+        sizes = {rid: len(batch) for batch in expected for rid in batch}
+        assert [r.batch_size for r in report.results] == [
+            sizes[r.request_id] for r in report.results
+        ]
+
+    def test_open_loop_never_dispatches_before_due(self, releasers):
+        trace = small_trace()
+        scale = 100.0
+        with WorkerPool(num_workers=2, compute="simulate") as pool:
+            report = pool.run_trace(trace, open_loop=True, arrival_scale=scale)
+        assert report.retries == 0
+        (releaser,) = releasers
+        assert sum(len(s.requests) for s in releaser.batches) == REQUESTS
+        for state in releaser.batches:
+            for request_id, __, due_at in state.requests:
+                arrival = trace.requests[request_id].arrival_time
+                assert due_at == releaser.started + arrival * scale
+                assert state.enqueued_at >= due_at
+        # Latency is timed from each request's own due time.
+        assert all(r.latency_seconds > 0.0 for r in report.results)
+
+    def test_large_batches_stay_bitwise_equal_to_the_service(self):
+        trace = generate_trace("mixed", 64, seed=1)
+        modelled = SpMVService(num_devices=1, compute="simulate").run_trace(trace)
+        with WorkerPool(num_workers=2, compute="simulate", max_batch=32) as pool:
+            report = pool.run_trace(trace)
+        assert report.snapshot()["mean_batch_size"] > 4.0
+        assert [r.request_id for r in report.results] == list(range(64))
+        for result in report.results:
+            expected = modelled.results[result.request_id].y
+            assert result.y.dtype == expected.dtype
+            np.testing.assert_array_equal(result.y, expected)
+
+
+class TestWallClockSnapshot:
+    def test_mean_batch_size_counts_served_batches_only(self):
+        """A run that sheds half its batches keeps its served batch size."""
+
+        def result(request_id, shed):
+            return WallClockResult(
+                request_id=request_id,
+                matrix_name="m",
+                tenant="t",
+                worker_id=-1 if shed else 0,
+                y=None if shed else np.zeros(1, dtype=np.float32),
+                latency_seconds=0.001,
+                batch_size=4,
+                shed=shed,
+                shed_reason="deadline" if shed else "",
+            )
+
+        report = WallClockReport(
+            scenario="adhoc",
+            num_workers=1,
+            compute="simulate",
+            engine="serpens-a16",
+            results=[result(i, shed=i >= 8) for i in range(16)],
+            makespan_seconds=1.0,
+            engine_cycles=0.0,
+            traversed_edges=0.0,
+            batches=4,
+            retries=0,
+            respawns=0,
+            inline_requests=0,
+            prepare_count=1,
+            shed_requests=8,
+            shed_batches=2,
+        )
+        snapshot = report.snapshot()
+        assert snapshot["completed"] == 8.0
+        assert snapshot["mean_batch_size"] == 4.0
+
+    def test_fully_shed_run_has_no_batch_size(self):
+        trace = small_trace()
+        with WorkerPool(num_workers=1, compute="simulate") as pool:
+            report = pool.run_trace(trace, deadline_s=0.0)
+        assert report.shed_batches == report.batches > 0
+        assert report.snapshot()["mean_batch_size"] == 0.0
 
 
 class TestShardResults:
