@@ -42,7 +42,7 @@ CODE_DESCRIPTIONS: Dict[str, str] = {
     "RPR203": "mutable default argument",
     "RPR204": "registered engine does not conform to the SpMVEngine protocol",
     "RPR301": "unbalanced shared-memory segment lifecycle",
-    "RPR302": "bounded-wait / lock-order / reader-discipline violation",
+    "RPR302": "bounded-wait / lock-order violation",
 }
 
 

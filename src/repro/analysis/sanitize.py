@@ -1,7 +1,7 @@
 """Runtime concurrency/lifecycle sanitizers for :mod:`repro.parallel`.
 
-Static rules cannot see a leaked shared-memory segment or a reader thread
-blocking where it must not — those are runtime properties.  This module
+Static rules cannot see a leaked shared-memory segment or a control-plane
+wait that never returns — those are runtime properties.  This module
 provides two sanitizers that hook into ``repro.parallel`` through the
 duck-typed install points the package exposes (``shm.install_auditor`` /
 ``pool.install_monitor``), the same inversion PR 6 used so ``serve`` never
@@ -15,10 +15,9 @@ wants auditing installs the hook.
   behind, this catches leaks through the kill + respawn + retry paths, and a
   final ``/dev/shm`` existence probe confirms the kernel agrees.
 * :class:`PoolMonitor` (RPR302) — bounded-wait and lock-order assertions for
-  :class:`~repro.parallel.pool.WorkerPool`: every blocking reply-queue wait
-  must finish within its declared timeout (plus slack), named critical
-  sections must nest in the declared order, and reader threads — whose only
-  job is pumping replies — must never block in a section or wait.
+  :class:`~repro.parallel.pool.WorkerPool`: every blocking wait on a
+  worker's pipe must finish within its declared timeout (plus slack), and
+  named critical sections must nest in the declared order.
 """
 
 from __future__ import annotations
@@ -172,16 +171,14 @@ class PoolMonitor:
     """Bounded-wait and lock-order assertions for the worker pool (RPR302).
 
     Install with :func:`repro.parallel.pool.install_monitor`.  The pool then
-    reports three event families:
+    reports two event families:
 
     * ``wait_started(kind, timeout)`` / ``wait_finished(token)`` around every
-      blocking reply-queue wait — finishing later than ``timeout + slack``
-      (or never) is a violation,
+      blocking ``connection.wait``/``poll`` on the worker pipes — finishing
+      later than ``timeout + slack`` (or never) is a violation,
     * ``section(name)`` context entry/exit around named critical regions —
-      entering a section out of the declared order, re-entering a held
-      section, or entering any section from a reader thread is a violation,
-    * ``reader_loop_started`` / ``reader_pumped`` from the daemon reader
-      threads, which also registers those threads for the discipline check.
+      entering a section out of the declared order or re-entering a held
+      section is a violation.
     """
 
     def __init__(
@@ -193,10 +190,8 @@ class PoolMonitor:
         self._waits: Dict[int, _Wait] = {}
         self._next_token = 0
         self._held: Dict[int, List[str]] = {}
-        self._readers: set = set()
         self._violations: List[Finding] = []
         self.waits_completed = 0
-        self.pumped = 0
 
     # -- helpers --------------------------------------------------------
     def _violate(self, message: str) -> None:
@@ -213,11 +208,6 @@ class PoolMonitor:
         with self._lock:
             token = self._next_token
             self._next_token += 1
-            if thread in self._readers:
-                self._violate(
-                    f"reader thread entered a blocking wait for {kind!r}; "
-                    "readers must only pump replies"
-                )
             if any(w.thread == thread for w in self._waits.values()):
                 self._violate(
                     f"nested blocking wait for {kind!r}: the thread is "
@@ -261,11 +251,6 @@ class PoolMonitor:
         thread = threading.get_ident()
         with self._lock:
             held = self._held.setdefault(thread, [])
-            if thread in self._readers:
-                self._violate(
-                    f"reader thread entered section {name!r}; readers must "
-                    "not touch pool state"
-                )
             if name in held:
                 self._violate(f"section {name!r} re-entered while already held")
             elif held and name in self.order:
@@ -287,14 +272,6 @@ class PoolMonitor:
             held = self._held.get(thread, [])
             if name in held:
                 held.remove(name)
-
-    # -- reader discipline ----------------------------------------------
-    def reader_loop_started(self, worker_id: int) -> None:
-        with self._lock:
-            self._readers.add(threading.get_ident())
-
-    def reader_pumped(self, worker_id: int) -> None:
-        self.pumped += 1
 
     # -- verdicts --------------------------------------------------------
     def findings(self) -> List[Finding]:

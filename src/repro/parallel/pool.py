@@ -17,18 +17,32 @@ for it, and no request is ever served before it is due.
 Wall-clock mode drives load two ways.  The default is a *saturation*
 benchmark: arrival gaps are not replayed — every request is due at the
 first step, batches are dispatched as worker inflight slots free, and a
-request's latency is measured from its batch entering the worker's queue to
-its result arriving back, so makespan and throughput measure the pool at
-full load, the regime the paper's bandwidth argument is about.
+request's latency is measured from its batch's dispatch to its result
+arriving back, so makespan and throughput measure the pool at full load,
+the regime the paper's bandwidth argument is about.
 ``run_trace(..., open_loop=True)`` instead makes each request due at its
 recorded arrival time (stretchable via ``arrival_scale``) and measures its
 latency from that due time, so queueing, deadlines and shedding reflect the
 trace's arrival process.
 
+The control plane keeps vectors out of messages, as Serpens keeps x and y
+on their own HBM channels apart from the instruction stream.  Each worker
+slot holds one duplex :class:`~multiprocessing.connection.Connection`, and
+the run loop waits on every live worker's connection and process sentinel
+at once (:func:`multiprocessing.connection.wait`), so a reply and a death
+both wake it and nothing polls.  Each run shares one vector arena
+(:func:`~repro.parallel.shm.share_vectors`): a request's x is copied in
+when it is released, the worker writes its y in place, and the y is copied
+out when its batch completes; the arena is unlinked when the run ends.  A
+message therefore carries ids and shm descriptors only — a few hundred
+bytes, written in one ``write`` — so neither end can block half-way through
+one, and two ends sending at once cannot deadlock.
+
 Robustness, because real processes die:
 
-* each worker is health-checked (liveness + a ping heartbeat on spawn and
-  respawn) and every inflight batch carries a deadline,
+* each worker is health-checked (a ping heartbeat on spawn and respawn, its
+  pipe's EOF and its process sentinel) and every inflight batch carries a
+  deadline,
 * a dead or wedged worker is respawned, its matrices re-registered, and its
   lost batches re-dispatched under a configurable
   :class:`~repro.resilience.RetryPolicy` (attempt cap, backoff + jitter,
@@ -40,8 +54,10 @@ Robustness, because real processes die:
 * a batch that exhausts its attempts — or the whole pool failing to start —
   degrades to inline execution in the parent, so no request is ever lost,
 * duplicate results (a worker that replied and *then* died mid-batch, or a
-  hedge racing its original) are deduplicated by batch id, so no request is
-  ever double-counted,
+  hedge racing its original) are deduplicated by batch id, and every batch
+  carries the pool's run counter, so a late reply from an earlier run is
+  dropped rather than taken for this run's batch of the same id; no
+  request is ever double-counted or answered with another's ``y``,
 * requests whose deadline (``run_trace(..., deadline_s=...)``) has already
   expired at dispatch time are shed explicitly rather than served late.
 
@@ -58,12 +74,11 @@ one store on shutdown via :meth:`~repro.obs.ResultsStore.merge`.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
-import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -76,14 +91,21 @@ from ..serve.cache import matrix_fingerprint
 from ..serve.loadgen import LoadTrace
 from ..serve.scheduler import Request, Scheduler
 from ..spmv import spmv
-from .shm import ShmBlock, share_coo, share_program
+from .shm import (
+    ShmBlock,
+    ShmDescriptor,
+    share_coo,
+    share_program,
+    share_vectors,
+    vector_slot,
+)
 from .worker import BatchResult, WorkBatch, WorkerConfig, worker_main
 
 __all__ = ["WallClockReport", "WallClockResult", "WorkerPool", "install_monitor"]
 
-#: Optional concurrency monitor (duck-typed: ``wait_started``/``wait_finished``,
-#: ``section``, ``reader_loop_started``/``reader_pumped``).  The sanitizer in
-#: repro.analysis installs itself here; this module never imports analysis.
+#: Optional concurrency monitor (duck-typed: ``wait_started``/``wait_finished``
+#: and ``section``).  The sanitizer in repro.analysis installs itself here;
+#: this module never imports analysis.
 _MONITOR = None
 
 
@@ -236,15 +258,13 @@ class _Slot:
     worker_id: int
     engine: str
     process: Optional[multiprocessing.Process] = None
-    tasks: Any = None
-    reply: Any = None
-    reader: Optional[threading.Thread] = None
+    #: The pool's end of the duplex pipe to the process.
+    conn: Any = None
+    #: Set when the process is found dead (its pipe closed or its sentinel
+    #: fired); cleared by a respawn.
+    dead: bool = False
     placed_nnz: int = 0
     respawns: int = 0
-
-    @property
-    def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
 
 
 @dataclass
@@ -256,6 +276,8 @@ class _BatchState:
     #: (request_id, tenant, due time as an absolute ``perf_counter``)
     requests: List[Tuple[int, str, float]]
     matrix: _Registered
+    #: The requests' x vectors (the inline path computes from these).
+    xs: Tuple[np.ndarray, ...] = ()
     enqueued_at: float = 0.0
     #: Dispatches so far (the RetryPolicy's attempt counter).
     attempts: int = 0
@@ -275,8 +297,9 @@ class _Releaser:
     every request due by ``now`` into a FIFO
     :class:`~repro.serve.Scheduler` and drains it, so the requests released
     in one step are grouped by matrix, oldest first, in chunks of
-    ``max_batch``; each formed batch gets the next id (0..B-1 per run) and
-    an ``enqueue`` event.
+    ``max_batch``; each formed batch gets the next id (0..B-1 per run),
+    the pool's ``run`` counter, the run's vector ``arena`` and an
+    ``enqueue`` event.
     """
 
     def __init__(
@@ -286,6 +309,8 @@ class _Releaser:
         max_batch: int,
         deadline_s: Optional[float],
         emit,
+        run: int,
+        arena: Optional[ShmDescriptor],
     ) -> None:
         # Stable sort: requests due together keep their trace order.
         self._requests = sorted(requests, key=lambda r: r.arrival_time)
@@ -293,6 +318,8 @@ class _Releaser:
         self._scheduler = Scheduler(policy="fifo", max_batch=max_batch)
         self._deadline_s = deadline_s
         self._emit = emit
+        self._run = run
+        self._arena = arena
         self._cursor = 0
         self.started = 0.0
         self.batches: List[_BatchState] = []
@@ -323,7 +350,8 @@ class _Releaser:
                     batch_id=len(self.batches),
                     matrix_key=entry.key,
                     request_ids=tuple(r.request_id for r in members),
-                    xs=tuple(r.x for r in members),
+                    run=self._run,
+                    arena=self._arena,
                 ),
                 worker_id=entry.home,
                 requests=[
@@ -331,6 +359,7 @@ class _Releaser:
                     for r in members
                 ],
                 matrix=entry,
+                xs=tuple(r.x for r in members),
             )
             if self._deadline_s is not None:
                 # The budget runs from the oldest member's due time.
@@ -375,24 +404,6 @@ def _batch_results(
         )
         for (request_id, tenant, due_at), y in zip(state.requests, ys)
     ]
-
-
-def _pump_replies(source, sink: "queue_module.Queue", worker_id: int = -1) -> None:
-    """Drain one worker's reply queue into the pool's in-process queue.
-
-    Runs as a daemon thread.  When the worker dies the queue either raises
-    (pipe closed) or blocks forever on a truncated message; either way the
-    thread is simply abandoned and the pool keeps running.
-    """
-    if _MONITOR is not None:
-        _MONITOR.reader_loop_started(worker_id)
-    while True:
-        try:
-            sink.put(source.get())
-        except (EOFError, OSError):  # pragma: no cover - pipe torn down
-            return
-        if _MONITOR is not None:
-            _MONITOR.reader_pumped(worker_id)
 
 
 class WorkerPool:
@@ -516,15 +527,11 @@ class WorkerPool:
             _Slot(worker_id=i, engine=names[i % len(names)])
             for i in range(num_workers)
         ]
-        # Replies flow: worker -> its own mp queue -> a daemon reader thread
-        # -> this in-process queue.  The main thread only ever blocks here,
-        # so a worker dying mid-reply (truncating a pickled message on its
-        # pipe) wedges at most its abandoned reader thread, never the pool.
-        self._replies: "queue_module.Queue" = queue_module.Queue()
         self._registered: Dict[str, _Registered] = {}
         self._inline_engines: Dict[str, SpMVEngine] = {}
-        self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
         self._started = False
+        #: Runs so far; stamped on every batch and echoed in its reply.
+        self._runs = 0
         self._closed = False
         self.retries = 0
         self.respawns = 0
@@ -642,37 +649,31 @@ class WorkerPool:
             generation=slot.respawns,
             events_path=self._worker_events_path(slot.worker_id, slot.respawns),
         )
-        slot.tasks = self._ctx.Queue()
-        slot.reply = self._ctx.Queue()
+        slot.conn, child_end = self._ctx.Pipe()
         slot.process = self._ctx.Process(
             target=worker_main,
-            args=(config, slot.tasks, slot.reply),
+            args=(config, child_end),
             daemon=True,
             name=f"repro-worker-{slot.worker_id}",
         )
         slot.process.start()
-        slot.reader = threading.Thread(
-            target=_pump_replies,
-            args=(slot.reply, self._replies, slot.worker_id),
-            daemon=True,
-            name=f"repro-reader-{slot.worker_id}",
-        )
-        slot.reader.start()
-        self._wait_for(
-            "ready", lambda msg: msg[1] == slot.worker_id, self.spawn_timeout
-        )
+        # The worker now holds the only other end: its death reads as EOF.
+        child_end.close()
+        slot.dead = False
+        self._await(slot, ("ready",), self.spawn_timeout)
         self.ping(slot.worker_id)
 
     def ping(self, worker_id: int, timeout: Optional[float] = None) -> bool:
         """Heartbeat one worker; raises ``TimeoutError`` when it is gone."""
         slot = self._slots[worker_id]
         token = uuid.uuid4().hex
-        with _mon_section("tasks"):
-            slot.tasks.put(("ping", token))
-        self._wait_for(
-            "pong",
-            lambda msg: msg[1] == worker_id and msg[2] == token,
+        if not self._send(slot, ("ping", token)):
+            raise TimeoutError(f"worker {worker_id} is gone")
+        self._await(
+            slot,
+            ("pong",),
             timeout if timeout is not None else self.spawn_timeout,
+            lambda msg: msg[2] == token,
         )
         return True
 
@@ -683,19 +684,16 @@ class WorkerPool:
         self._closed = True
         shard_paths: List[str] = []
         if self._started and self.num_workers:
-            waiting = []
-            for slot in self._slots:
-                if slot.alive:
-                    with _mon_section("tasks"):
-                        slot.tasks.put(("stop",))
-                    waiting.append(slot.worker_id)
+            waiting = [
+                slot
+                for slot in self._slots
+                if not slot.dead and self._send(slot, ("stop",))
+            ]
             deadline = time.monotonic() + timeout
-            for worker_id in waiting:
+            for slot in waiting:
                 try:
-                    msg = self._wait_for(
-                        "stopped",
-                        lambda m, w=worker_id: m[1] == w,
-                        max(0.1, deadline - time.monotonic()),
+                    msg = self._await(
+                        slot, ("stopped",), max(0.1, deadline - time.monotonic())
                     )
                     if msg[2]:
                         shard_paths.append(msg[2])
@@ -708,16 +706,13 @@ class WorkerPool:
                     slot.process.join(
                         timeout=min(5.0, max(0.1, deadline - time.monotonic()))
                     )
-                    if slot.process.is_alive():  # pragma: no cover - stragglers
+                    if slot.process.exitcode is None:  # pragma: no cover - stragglers
                         slot.process.terminate()
                         slot.process.join(
                             timeout=min(5.0, max(0.1, deadline - time.monotonic()))
                         )
-                if slot.tasks is not None:
-                    # Never block interpreter exit on flushing tasks to a
-                    # worker that is no longer reading them.
-                    slot.tasks.cancel_join_thread()
-                    slot.tasks.close()
+                if slot.conn is not None:
+                    slot.conn.close()
         self._merge_shards(shard_paths)
         if self._events is not None:
             self._events.close()
@@ -821,14 +816,16 @@ class WorkerPool:
             None if program_block is None else program_block.descriptor,
         )
         for _attempt in range(2):
-            with _mon_section("tasks"):
-                slot.tasks.put(task)
+            if not self._send(slot, task):
+                break
             try:
-                msg = self._wait_for_any(
+                msg = self._await(
+                    slot,
                     ("registered", "error"),
-                    lambda m: m[1] == slot.worker_id
-                    and (m[2] == entry.key if m[0] == "registered" else m[2] is None),
                     self.spawn_timeout,
+                    lambda m: (
+                        m[2] == entry.key if m[0] == "registered" else m[2] is None
+                    ),
                 )
             except TimeoutError:
                 # Crashed (or wedged) during prepare: no reply will ever
@@ -861,55 +858,78 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Control-plane message routing
     # ------------------------------------------------------------------
-    def _wait_for(self, kind: str, predicate, timeout: float) -> Tuple[Any, ...]:
-        """Next control message of ``kind`` matching ``predicate``.
+    def _send(self, slot: _Slot, task: Tuple[Any, ...]) -> bool:
+        """Send one task down a slot's pipe; a broken pipe marks it dead."""
+        try:
+            with _mon_section("tasks"):
+                slot.conn.send(task)
+        except OSError:  # the worker has exited and closed its end
+            slot.dead = True
+            return False
+        return True
 
-        Non-matching messages are buffered for their own consumers, so acks
-        and results can interleave freely on the one reply queue.
-        """
-        return self._wait_for_any((kind,), predicate, timeout)
+    @staticmethod
+    def _recv(slot: _Slot, timeout: float) -> Optional[Tuple[Any, ...]]:
+        """One reply from a slot within ``timeout`` seconds, else ``None``;
+        EOF (the worker has exited) marks the slot dead."""
+        try:
+            if slot.conn.poll(max(0.0, timeout)):
+                return slot.conn.recv()
+        except (EOFError, OSError):
+            slot.dead = True
+        return None
 
-    def _wait_for_any(
-        self, kinds: Tuple[str, ...], predicate, timeout: float
+    def _await(
+        self, slot: _Slot, kinds: Tuple[str, ...], timeout: float, match=None
     ) -> Tuple[Any, ...]:
-        """Next control message whose kind is in ``kinds`` and matches."""
-        for kind in kinds:
-            buffered = self._pending.get(kind, [])
-            for index, msg in enumerate(buffered):
-                if predicate(msg):
-                    return buffered.pop(index)
+        """The next reply of one of ``kinds`` (and ``match``) from one slot.
+
+        Handshakes read the slot's own pipe, which nothing else is waiting
+        on, so a reply ahead of the awaited one (a result of a batch already
+        settled, a pong of an abandoned ping) is simply dropped.  Raises
+        ``TimeoutError`` when the worker dies or ``timeout`` passes first.
+        """
         deadline = time.monotonic() + timeout
         token = _mon_wait_start("/".join(kinds), timeout)
         try:
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                msg = self._recv(slot, deadline - time.monotonic())
+                if msg is None:
+                    state = "exited" if slot.dead else f"was silent for {timeout:g}s"
                     raise TimeoutError(
-                        f"timed out waiting for {'/'.join(kinds)!r} from worker"
+                        f"worker {slot.worker_id} {state} awaiting {'/'.join(kinds)!r}"
                     )
-                try:
-                    msg = self._replies.get(timeout=min(remaining, 0.25))
-                except queue_module.Empty:
-                    continue
-                if msg[0] in kinds and predicate(msg):
+                if msg[0] in kinds and (match is None or match(msg)):
                     return msg
-                self._pending.setdefault(msg[0], []).append(msg)
         finally:
             _mon_wait_end(token)
 
-    def _next_message(self, timeout: float) -> Optional[Tuple[Any, ...]]:
-        """Next buffered or queued message of any kind (None on timeout)."""
-        for kind in ("result", "error"):
-            buffered = self._pending.get(kind)
-            if buffered:
-                return buffered.pop(0)
-        token = _mon_wait_start("message", timeout) if timeout else None
+    def _wait_replies(self, timeout: float, settle) -> bool:
+        """Block until a live worker replies or dies, or ``timeout`` passes.
+
+        One :func:`multiprocessing.connection.wait` covers every live slot's
+        pipe and process sentinel: a ready pipe yields one reply to
+        ``settle``, and EOF or a ready sentinel marks the slot dead.
+        Returns whether anything woke the wait.
+        """
+        owners: Dict[Any, _Slot] = {}
+        for slot in self._slots:
+            if not slot.dead:
+                owners[slot.conn] = owners[slot.process.sentinel] = slot
+        token = _mon_wait_start("reply", timeout)
         try:
-            return self._replies.get(timeout=timeout) if timeout else self._replies.get_nowait()
-        except queue_module.Empty:
-            return None
+            woke = mp_connection.wait(list(owners), timeout)
         finally:
             _mon_wait_end(token)
+        for ready in woke:
+            slot = owners[ready]
+            if ready is not slot.conn:
+                slot.dead = True
+                continue
+            msg = self._recv(slot, 0.0)
+            if msg is not None:
+                settle(msg)
+        return bool(woke)
 
     # ------------------------------------------------------------------
     # Execution
@@ -945,14 +965,14 @@ class WorkerPool:
             raise RuntimeError("pool is shut down")
         if arrival_scale <= 0:
             raise ValueError("arrival_scale must be positive")
-        started_ok = True
-        if self.num_workers:
+        pooled = bool(self.num_workers)
+        if pooled:
             try:
                 self.start()
             except (TimeoutError, OSError):  # pragma: no cover - spawn failure
-                started_ok = False
+                pooled = False
         keys: List[str] = []
-        if self.num_workers and started_ok:
+        if pooled:
             for workload in trace.matrices:
                 keys.append(
                     self.register(
@@ -988,17 +1008,35 @@ class WorkerPool:
             )
             for index, request in enumerate(trace.requests)
         ]
+        # One shared block carries this run's x and y vectors to and from
+        # the workers; the messages carry only its descriptor.
+        arena = None
+        if pooled and self.compute != "none":
+            arena = share_vectors(
+                [len(r.x) for r in requests],
+                [entries[r.fingerprint].matrix.num_rows for r in requests],
+            )
+        vectors = {} if arena is None else arena.arrays()
+        self._runs += 1
         releaser = _Releaser(
-            requests, entries, self.max_batch, deadline_s, self._emit
+            requests, entries, self.max_batch, deadline_s, self._emit,
+            run=self._runs,
+            arena=None if arena is None else arena.descriptor,
         )
         run_started = releaser.started = time.perf_counter()
-        if not self.num_workers or not started_ok:
-            results, cycles, edges = self._run_inline(releaser, open_loop)
-        else:
-            results, cycles, edges = self._run_pooled(
-                releaser, len(requests), open_loop
-            )
-        makespan = time.perf_counter() - run_started
+        try:
+            if pooled:
+                results, cycles, edges = self._run_pooled(
+                    releaser, len(requests), open_loop, vectors
+                )
+            else:
+                results, cycles, edges = self._run_inline(releaser, open_loop)
+            makespan = time.perf_counter() - run_started
+        finally:
+            if arena is not None:
+                # Drop every view first: a mapping cannot close under one.
+                vectors.clear()
+                arena.unlink()
         batches = releaser.batches
         results.sort(key=lambda r: r.request_id)
         report = WallClockReport(
@@ -1047,8 +1085,15 @@ class WorkerPool:
                 trips.set(float(breaker.trips), worker=worker_id)
 
     def _run_pooled(
-        self, releaser: _Releaser, total_requests: int, open_loop: bool
+        self,
+        releaser: _Releaser,
+        total_requests: int,
+        open_loop: bool,
+        vectors: Mapping[str, np.ndarray],
     ) -> Tuple[List[WallClockResult], float, float]:
+        """Serve one run on the workers; ``vectors`` are the run's arena views
+        (empty when nothing is computed)."""
+        run = self._runs
         ready: Dict[int, Deque[_BatchState]] = {
             slot.worker_id: deque() for slot in self._slots
         }
@@ -1104,7 +1149,7 @@ class WorkerPool:
         def dispatch() -> None:
             now = time.perf_counter()
             for slot in self._slots:
-                if not slot.alive:
+                if slot.dead:
                     continue
                 breaker = self._breakers.get(slot.worker_id)
                 while (
@@ -1120,16 +1165,17 @@ class WorkerPool:
                         # Already doomed: shedding beats serving it late.
                         shed(state, "deadline", now)
                         continue
-                    if breaker is not None and not breaker.allow(time.monotonic()):
-                        # Sick worker: hand the batch back for someone else.
+                    if (
+                        breaker is not None and not breaker.allow(time.monotonic())
+                    ) or not self._send(slot, ("execute", state.batch)):
+                        # Sick or dead worker: hand the batch back for
+                        # someone else.
                         ready[slot.worker_id].appendleft(state)
                         break
                     state.worker_id = slot.worker_id
                     state.attempts += 1
                     state.enqueued_at = now
                     inflight[state.batch.batch_id] = state
-                    with _mon_section("tasks"):
-                        slot.tasks.put(("execute", state.batch))
                     self._emit(
                         "dispatch",
                         batch=state.batch.batch_id,
@@ -1138,7 +1184,12 @@ class WorkerPool:
                         requests=len(state.requests),
                     )
 
-        def complete(state: _BatchState, result: BatchResult, worker_id: int) -> None:
+        def complete(
+            state: _BatchState,
+            ys: Sequence[Optional[np.ndarray]],
+            engine_cycles: float,
+            worker_id: int,
+        ) -> None:
             nonlocal cycles, edges
             if state.batch.batch_id in completed:
                 return  # duplicate (late original racing a hedge, or a
@@ -1157,17 +1208,46 @@ class WorkerPool:
                 requests=len(state.requests),
                 latency_s=(now - state.enqueued_at) if state.enqueued_at else 0.0,
             )
-            cycles += result.engine_cycles
+            cycles += engine_cycles
             edges += float(len(state.requests)) * state.matrix.matrix.nnz
-            results.extend(
-                _batch_results(state, result.ys, worker_id, now, open_loop)
-            )
+            results.extend(_batch_results(state, ys, worker_id, now, open_loop))
+
+        def degrade(state: _BatchState) -> None:
+            """Serve a batch inline in the parent (the last resort)."""
+            self.degraded_batches += 1
+            complete(state, *self._execute_inline(state), worker_id=-1)
+
+        def settle(msg: Tuple[Any, ...]) -> None:
+            """Act on one worker reply; replies from another run are dropped."""
+            if msg[0] == "result":
+                result: BatchResult = msg[2]
+                state = states_by_id.get(result.batch_id) if result.run == run else None
+                if state is None or state.batch.batch_id in completed:
+                    return
+                ys: List[Optional[np.ndarray]] = [None] * len(state.requests)
+                if vectors:
+                    ys = [
+                        vector_slot(vectors, "y", request_id).copy()
+                        for request_id in state.batch.request_ids
+                    ]
+                complete(state, ys, result.engine_cycles, msg[1])
+            elif msg[0] == "error":
+                self._record_worker_failure(msg[1])
+                batch: Optional[WorkBatch] = msg[2]
+                if batch is None or batch.run != run:
+                    return
+                state = states_by_id.get(batch.batch_id)
+                if state is not None and batch.batch_id not in completed:
+                    inflight.pop(batch.batch_id, None)
+                    degrade(state)
 
         def hedge_stragglers(now: float) -> None:
             """Duplicate over-age inflight batches onto a second worker.
 
             Dedup-by-batch-id makes the race safe: the first reply wins and
-            the loser is dropped in :func:`complete`.
+            the loser is dropped in :func:`complete`.  The hedge goes to a
+            worker of the same engine, so both write the same bytes into
+            the batch's y slots.
             """
             policy = self.retry_policy
             if policy.hedge_after_p95 is None or not batch_latencies:
@@ -1180,16 +1260,21 @@ class WorkerPool:
             for state in list(inflight.values()):
                 if state.hedged or now - state.enqueued_at < threshold:
                     continue
+                engine = self._slots[state.worker_id].engine
                 for slot in self._slots:
-                    if slot.worker_id == state.worker_id or not slot.alive:
+                    if (
+                        slot.worker_id == state.worker_id
+                        or slot.dead
+                        or slot.engine != engine
+                    ):
                         continue
                     breaker = self._breakers.get(slot.worker_id)
                     if breaker is not None and not breaker.allow(time.monotonic()):
                         continue
+                    if not self._send(slot, ("execute", state.batch)):
+                        continue
                     state.hedged = True
                     self.hedges += 1
-                    with _mon_section("tasks"):
-                        slot.tasks.put(("execute", state.batch))
                     self._emit(
                         "hedge_fired",
                         batch=state.batch.batch_id,
@@ -1209,7 +1294,7 @@ class WorkerPool:
             if inflight:
                 return
             if any(
-                slot.alive
+                not slot.dead
                 and (
                     self._breakers.get(slot.worker_id) is None
                     or self._breakers[slot.worker_id].would_allow(time.monotonic())
@@ -1220,15 +1305,22 @@ class WorkerPool:
             for queue in ready.values():
                 state = pop_eligible(queue, now)
                 if state is not None:
-                    self.degraded_batches += 1
-                    complete(state, self._execute_inline_state(state), worker_id=-1)
+                    degrade(state)
                     return
 
-        def poll_timeout(now: float) -> float:
+        def wait_timeout(now: float) -> float:
+            # Until the next request is due or the oldest inflight batch
+            # times out (once it has, the health pass takes over), <= 0.25 s.
+            timeout = 0.25
             due = releaser.next_due()
-            if due is None:
-                return 0.25
-            return min(0.25, max(0.001, due - now))
+            if due is not None:
+                timeout = min(timeout, due - now)
+            if inflight:
+                oldest = min(state.enqueued_at for state in inflight.values())
+                expiry = oldest + self.batch_timeout
+                if expiry > now:
+                    timeout = min(timeout, expiry - now)
+            return max(0.0, timeout)
 
         # Health passes must not be starved by a steady reply stream from
         # healthy workers: a wedged worker's batch would otherwise wait for
@@ -1241,34 +1333,22 @@ class WorkerPool:
             for state in releaser.release(time.perf_counter()):
                 states_by_id[state.batch.batch_id] = state
                 ready[state.worker_id].append(state)
+                if vectors:
+                    for request_id, x in zip(state.batch.request_ids, state.xs):
+                        vector_slot(vectors, "x", request_id)[...] = x
             dispatch()
-            msg = self._next_message(timeout=poll_timeout(time.perf_counter()))
-            if msg is not None:
-                kind = msg[0]
-                if kind == "result":
-                    result: BatchResult = msg[2]
-                    state = states_by_id.get(result.batch_id)
-                    if state is not None:
-                        complete(state, result, msg[1])
-                elif kind == "error":
-                    if isinstance(msg[1], int):
-                        self._record_worker_failure(msg[1])
-                    state = states_by_id.get(msg[2]) if msg[2] is not None else None
-                    if state is not None and state.batch.batch_id not in completed:
-                        inflight.pop(state.batch.batch_id, None)
-                        self.degraded_batches += 1
-                        complete(
-                            state, self._execute_inline_state(state), worker_id=-1
-                        )
-                else:
-                    self._pending.setdefault(kind, []).append(msg)
-                if time.perf_counter() - last_health < health_interval:
-                    continue
+            woke = self._wait_replies(wait_timeout(time.perf_counter()), settle)
             now = time.perf_counter()
+            if (
+                woke
+                and now - last_health < health_interval
+                and not any(slot.dead for slot in self._slots)
+            ):
+                continue
             last_health = now
             hedge_stragglers(now)
             self._recover_dead_workers(
-                inflight, ready, completed, complete, len(states_by_id)
+                inflight, ready, settle, degrade, len(states_by_id)
             )
             degrade_if_starved(time.perf_counter())
         return results, cycles, edges
@@ -1277,8 +1357,8 @@ class WorkerPool:
         self,
         inflight: Dict[int, _BatchState],
         ready: Dict[int, Deque[_BatchState]],
-        completed: Set[int],
-        complete,
+        settle,
+        degrade,
         total_batches: int = 0,
     ) -> None:
         """Respawn dead/wedged workers; re-dispatch their batches under the
@@ -1293,26 +1373,19 @@ class WorkerPool:
             wedged = any(
                 now - state.enqueued_at > self.batch_timeout for state in owned
             )
-            if slot.alive and not wedged:
+            if not slot.dead and not wedged:
                 continue
-            if not slot.alive and not owned:
-                # Died idle (e.g. between batches): just bring it back.
-                pass
-            if slot.alive:  # pragma: no cover - wedged but alive
+            if not slot.dead:  # pragma: no cover - wedged but alive
                 slot.process.terminate()
-                slot.process.join(timeout=5.0)
-            # Drain any results the worker managed to send before dying so
-            # finished batches are not needlessly retried.
+            slot.process.join(timeout=5.0)  # also reaps a dead one
+            # Settle the replies the worker sent before dying so finished
+            # batches are not needlessly retried; EOF ends the drain.
             while True:
-                msg = self._next_message(timeout=0.0)
+                msg = self._recv(slot, 0.0)
                 if msg is None:
                     break
-                if msg[0] == "result":
-                    state = inflight.get(msg[2].batch_id)
-                    if state is not None:
-                        complete(state, msg[2], msg[1])
-                else:
-                    self._pending.setdefault(msg[0], []).append(msg)
+                settle(msg)
+            slot.conn.close()
             lost = [
                 state
                 for state in inflight.values()
@@ -1323,12 +1396,8 @@ class WorkerPool:
             self.respawns += 1
             slot.respawns += 1
             self._record_worker_failure(slot.worker_id)
-            # Abandon the dead worker's queues: nothing must ever block on
-            # flushing tasks into a pipe no one reads again.  (An injected
-            # fault does not re-fire after recovery: the replacement worker's
-            # injector filters specs by generation.)
-            slot.tasks.cancel_join_thread()
-            slot.tasks.close()
+            # An injected fault does not re-fire after recovery: the
+            # replacement worker's injector filters specs by generation.
             respawned = True
             try:
                 self._spawn(slot)
@@ -1344,8 +1413,6 @@ class WorkerPool:
                 ok=respawned,
             )
             for state in lost:
-                if state.batch.batch_id in completed:
-                    continue
                 if respawned and self.retry_policy.should_retry(
                     state.attempts, self.retries, total_batches
                 ):
@@ -1364,8 +1431,7 @@ class WorkerPool:
                         delay_s=max(0.0, state.not_before - time.perf_counter()),
                     )
                 else:
-                    self.degraded_batches += 1
-                    complete(state, self._execute_inline_state(state), worker_id=-1)
+                    degrade(state)
 
     # ------------------------------------------------------------------
     # Inline (degraded) execution
@@ -1377,8 +1443,11 @@ class WorkerPool:
             self._inline_engines[name] = engine
         return engine
 
-    def _execute_inline_state(self, state: _BatchState) -> BatchResult:
-        """Execute one batch in the parent process (last-resort path)."""
+    def _execute_inline(
+        self, state: _BatchState
+    ) -> Tuple[List[Optional[np.ndarray]], float]:
+        """Execute one batch in the parent process (last-resort path):
+        its ys and engine cycles."""
         self.inline_requests += len(state.requests)
         entry = state.matrix
         engine_name = (
@@ -1386,7 +1455,6 @@ class WorkerPool:
             if 0 <= state.worker_id < len(self._slots)
             else (self._slots[0].engine if self._slots else DEFAULT_ENGINE)
         )
-        started = time.perf_counter()
         ys: List[Optional[np.ndarray]] = []
         cycles = 0.0
         if self.compute == "simulate":
@@ -1402,23 +1470,15 @@ class WorkerPool:
                 fingerprint=entry.key,
                 payload=payload,
             )
-            for x in state.batch.xs:
+            for x in state.xs:
                 result = engine.execute(prepared, x)
                 ys.append(result.y)
                 cycles += float(result.report.cycles)
         elif self.compute == "reference":
-            ys = [spmv(entry.matrix, x) for x in state.batch.xs]
+            ys = [spmv(entry.matrix, x) for x in state.xs]
         else:
-            ys = [None] * len(state.batch.xs)
-        return BatchResult(
-            batch_id=state.batch.batch_id,
-            worker_id=-1,
-            matrix_key=state.batch.matrix_key,
-            request_ids=state.batch.request_ids,
-            ys=ys,
-            wall_seconds=time.perf_counter() - started,
-            engine_cycles=cycles,
-        )
+            ys = [None] * len(state.xs)
+        return ys, cycles
 
     def _run_inline(
         self, releaser: _Releaser, open_loop: bool
@@ -1430,13 +1490,11 @@ class WorkerPool:
         while True:
             for state in releaser.release(time.perf_counter()):
                 state.enqueued_at = time.perf_counter()
-                result = self._execute_inline_state(state)
-                cycles += result.engine_cycles
+                ys, batch_cycles = self._execute_inline(state)
+                cycles += batch_cycles
                 edges += float(len(state.requests)) * state.matrix.matrix.nnz
                 results.extend(
-                    _batch_results(
-                        state, result.ys, -1, time.perf_counter(), open_loop
-                    )
+                    _batch_results(state, ys, -1, time.perf_counter(), open_loop)
                 )
             due = releaser.next_due()
             if due is None:

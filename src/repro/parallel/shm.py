@@ -9,12 +9,15 @@ those arrays over :mod:`multiprocessing.shared_memory` without copying:
 
 * :func:`share_arrays` packs a dict of named arrays into one shared-memory
   segment and returns a :class:`ShmBlock` that *owns* the segment,
-* the block's picklable :class:`ShmDescriptor` travels over a queue to the
+* the block's picklable :class:`ShmDescriptor` travels over a pipe to the
   worker, which calls :meth:`ShmDescriptor.attach` and gets NumPy views
   straight onto the shared pages — the 100 MB matrix is mapped, not pickled,
 * on top of that sit round-trip codecs for the two payload shapes:
   :func:`share_coo` / :func:`coo_from_block` and :func:`share_program` /
-  :func:`program_from_block`.
+  :func:`program_from_block`,
+* and a per-run vector arena (:func:`share_vectors` / :func:`vector_slot`)
+  that carries every request's x to a worker and its y back, so the
+  control messages never hold a vector.
 
 Ownership is explicit: the creating process owns the segment and is the only
 one allowed to :meth:`~ShmBlock.unlink` it; attachers just
@@ -32,7 +35,7 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +56,8 @@ __all__ = [
     "share_arrays",
     "share_coo",
     "share_program",
+    "share_vectors",
+    "vector_slot",
 ]
 
 #: Byte alignment of each array inside a segment (cache-line friendly, and
@@ -101,7 +106,7 @@ class ArraySpec:
 class ShmDescriptor:
     """Everything needed to map a shared block from another process.
 
-    Picklable and tiny — this is what actually crosses the IPC queue; the
+    Picklable and tiny — this is what actually crosses the IPC pipe; the
     array payload itself never does.
     """
 
@@ -318,3 +323,37 @@ def share_program(program: SerpensProgram) -> ShmBlock:
 def program_from_block(block: ShmBlock) -> SerpensProgram:
     """Map a program out of a block; element arrays view the block's pages."""
     return program_from_arrays(block.arrays())
+
+
+# ----------------------------------------------------------------------
+# Vector arena
+# ----------------------------------------------------------------------
+def _offsets(sizes: Sequence[int]) -> np.ndarray:
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def share_vectors(x_sizes: Sequence[int], y_sizes: Sequence[int]) -> ShmBlock:
+    """One run's request vectors as an owned block of flat float64 arrays.
+
+    Request ``i`` owns ``x[x_at[i]:x_at[i + 1]]`` and ``y[y_at[i]:y_at[i + 1]]``
+    (see :func:`vector_slot`): the owner copies each x in, a worker reads
+    it and writes the y, and the owner copies the y back out.
+    """
+    x_at, y_at = _offsets(x_sizes), _offsets(y_sizes)
+    return share_arrays(
+        {
+            "x": np.zeros(int(x_at[-1])),
+            "y": np.zeros(int(y_at[-1])),
+            "x_at": x_at,
+            "y_at": y_at,
+        },
+        name_prefix="repro-arena",
+    )
+
+
+def vector_slot(arrays: Mapping[str, np.ndarray], name: str, index: int) -> np.ndarray:
+    """View of request ``index``'s ``"x"`` or ``"y"`` in a vector arena."""
+    offsets = arrays[f"{name}_at"]
+    return arrays[name][offsets[index]:offsets[index + 1]]

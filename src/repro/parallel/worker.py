@@ -1,21 +1,29 @@
 """The engine worker process behind the wall-clock serving pool.
 
 One worker owns one :class:`~repro.backends.SpMVEngine` and
-serves batches against matrices it was handed over shared memory.  The
-protocol is deliberately small — five task tuples in, five reply tuples out —
-because everything bulky (the matrix, the preprocessed program) arrives as an
+serves batches against matrices it was handed over shared memory.  It talks
+to the pool over one duplex :class:`multiprocessing.connection.Connection`,
+and the protocol is deliberately small — five task tuples in, five reply
+tuples out on the same connection — because everything bulky arrives as an
 :class:`~repro.parallel.shm.ShmDescriptor` and is mapped, not copied:
 
 ===========================  =================================================
-task (on the worker's queue)  reply (on the shared results queue)
+task (pool → worker)          reply (worker → pool, same connection)
 ===========================  =================================================
 ``("register", key, name,     ``("registered", worker_id, key)``
 descriptor, prog_descriptor)``
 ``("execute", WorkBatch)``    ``("result", worker_id, BatchResult)``
 ``("ping", token)``           ``("pong", worker_id, token)``
 ``("stop",)``                 ``("stopped", worker_id, results_path)``
-any failure                   ``("error", worker_id, batch_id, message)``
+any failure                   ``("error", worker_id, WorkBatch or None, message)``
 ===========================  =================================================
+
+The matrix and its prebuilt program are mapped at ``register``.  A batch's
+vectors live in the run's vector arena
+(:func:`~repro.parallel.shm.share_vectors`): the worker maps the arena
+named by the :class:`WorkBatch` once per run, reads each request's x from
+it and writes each y into it, so an ``execute`` task and its ``result``
+carry ids and offsets only and every message stays a few hundred bytes.
 
 On ``stop`` the worker writes its own shard
 :class:`~repro.obs.ResultsStore` (when configured with a path) so the pool
@@ -43,7 +51,13 @@ import numpy as np
 
 from ..backends import DEFAULT_ENGINE, PreparedMatrix, resolve
 from ..spmv import spmv
-from .shm import ShmBlock, ShmDescriptor, coo_from_block, program_from_block
+from .shm import (
+    ShmBlock,
+    ShmDescriptor,
+    coo_from_block,
+    program_from_block,
+    vector_slot,
+)
 
 __all__ = ["BatchResult", "WorkBatch", "WorkerConfig", "worker_main"]
 
@@ -76,12 +90,20 @@ class WorkerConfig:
 
 @dataclass(frozen=True)
 class WorkBatch:
-    """One batch of launches against a single registered matrix."""
+    """One batch of launches against a single registered matrix.
+
+    Request ``r``'s x and y are ``vector_slot(arena, "x" or "y", r)`` of the
+    run's vector arena; ``arena`` is ``None`` when nothing is computed
+    (``compute="none"``).
+    """
 
     batch_id: int
     matrix_key: str
     request_ids: Tuple[int, ...]
-    xs: Tuple[np.ndarray, ...]
+    #: The pool's run counter; the reply echoes it so a late reply from an
+    #: earlier run is never taken for this run's batch of the same id.
+    run: int = 0
+    arena: Optional[ShmDescriptor] = None
 
     def __len__(self) -> int:
         return len(self.request_ids)
@@ -89,16 +111,15 @@ class WorkBatch:
 
 @dataclass
 class BatchResult:
-    """What one executed batch measured."""
+    """What one executed batch measured (its ys are in the arena)."""
 
     batch_id: int
+    run: int
     worker_id: int
     matrix_key: str
     request_ids: Tuple[int, ...]
-    ys: List[Optional[np.ndarray]]
     wall_seconds: float
     engine_cycles: float = 0.0
-    prepared: bool = False
 
 
 @dataclass
@@ -271,24 +292,26 @@ def _execute(
     engine,
     entry: _Served,
     batch: WorkBatch,
+    arena: Optional[Dict[str, np.ndarray]],
     obs: Optional[_WorkerObs] = None,
 ) -> BatchResult:
-    """Run every launch of a batch, measuring wall time and engine cycles."""
+    """Run every launch of a batch, measuring wall time and engine cycles.
+
+    Each x is read from, and each y written into, the run's ``arena`` views.
+    """
     started = time.perf_counter()
-    ys: List[Optional[np.ndarray]] = []
     cycles = 0.0
-    for x in batch.xs:
+    for request_id in batch.request_ids:
         launch_started = time.perf_counter() if obs is not None else 0.0
         report = None
         if config.compute == "reference":
-            ys.append(spmv(entry.prepared.matrix, x))
+            x = vector_slot(arena, "x", request_id)
+            vector_slot(arena, "y", request_id)[...] = spmv(entry.prepared.matrix, x)
         elif config.compute == "simulate":
-            result = engine.execute(entry.prepared, x)
-            ys.append(result.y)
+            result = engine.execute(entry.prepared, vector_slot(arena, "x", request_id))
+            vector_slot(arena, "y", request_id)[...] = result.y
             report = result.report
             cycles += float(report.cycles)
-        else:
-            ys.append(None)
         if obs is not None:
             obs.record_launch(time.perf_counter() - launch_started, report)
     if obs is not None:
@@ -302,10 +325,10 @@ def _execute(
         )
     return BatchResult(
         batch_id=batch.batch_id,
+        run=batch.run,
         worker_id=config.worker_id,
         matrix_key=batch.matrix_key,
         request_ids=batch.request_ids,
-        ys=ys,
         wall_seconds=time.perf_counter() - started,
         engine_cycles=cycles,
     )
@@ -334,14 +357,18 @@ def _write_shard_store(
         )
 
 
-def worker_main(config: WorkerConfig, tasks, results) -> None:
+def worker_main(config: WorkerConfig, conn) -> None:
     """Worker process entry point: serve tasks until ``stop``.
 
-    ``tasks`` is this worker's private queue; ``results`` is the pool-wide
-    reply queue (every reply is tagged with the worker id).
+    ``conn`` is this worker's end of its duplex pipe to the pool: tasks are
+    received and replies sent on it.  EOF on it ends the worker as ``stop``
+    does, minus the shard store.
     """
     engine = resolve(config.engine)
     served: Dict[str, _Served] = {}
+    # The current run's vector arena, mapped at its first batch.
+    arena: Optional[ShmBlock] = None
+    arena_views: Dict[str, np.ndarray] = {}
     totals = {
         "batches": 0.0,
         "requests": 0.0,
@@ -364,10 +391,13 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
         )
         if obs is not None:
             injector.observer = obs.on_fault
-    results.put(("ready", config.worker_id))
+    conn.send(("ready", config.worker_id))
     try:
         while True:
-            task: Tuple[Any, ...] = tasks.get()
+            try:
+                task: Tuple[Any, ...] = conn.recv()
+            except EOFError:
+                return
             kind = task[0]
             if kind == "stop":
                 totals["registered_matrices"] = float(len(served))
@@ -376,7 +406,7 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
                 _write_shard_store(config, engine.name, totals)
                 if obs is not None:
                     obs.close()
-                results.put(("stopped", config.worker_id, config.results_path))
+                conn.send(("stopped", config.worker_id, config.results_path))
                 return
             if kind == "ping":
                 if obs is not None:
@@ -385,7 +415,7 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
                     # not only at a clean stop.
                     obs.flush_spans()
                     obs.flush_metrics(on="ping")
-                results.put(("pong", config.worker_id, task[1]))
+                conn.send(("pong", config.worker_id, task[1]))
                 continue
             if kind == "register":
                 _, key, name, coo_descriptor, program_descriptor = task
@@ -398,7 +428,7 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
                         coo_descriptor, program_descriptor,
                     )
                 except Exception:  # noqa: BLE001 - reported to the pool
-                    results.put(
+                    conn.send(
                         ("error", config.worker_id, None, traceback.format_exc())
                     )
                 else:
@@ -419,18 +449,27 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
                             built=did_work,
                         )
                         obs.flush_spans()
-                    results.put(("registered", config.worker_id, key))
+                    conn.send(("registered", config.worker_id, key))
                 registrations += 1
                 continue
             if kind == "execute":
                 batch: WorkBatch = task[1]
                 batch_started = time.perf_counter()
                 try:
+                    if batch.arena is not None and (
+                        arena is None or arena.name != batch.arena.shm_name
+                    ):
+                        # A new run: drop the last run's mapping first.
+                        if arena is not None:
+                            arena_views = {}
+                            arena.close()
+                        arena = batch.arena.attach()
+                        arena_views = arena.arrays()
                     entry = served[batch.matrix_key]
-                    result = _execute(config, engine, entry, batch, obs)
+                    result = _execute(config, engine, entry, batch, arena_views, obs)
                 except Exception:  # noqa: BLE001 - reported to the pool
-                    results.put(
-                        ("error", config.worker_id, batch.batch_id, traceback.format_exc())
+                    conn.send(
+                        ("error", config.worker_id, batch, traceback.format_exc())
                     )
                     continue
                 send_reply = True
@@ -477,14 +516,15 @@ def worker_main(config: WorkerConfig, tasks, results) -> None:
                 totals["busy_seconds"] += result.wall_seconds
                 totals["engine_cycles"] += result.engine_cycles
                 if send_reply:
-                    results.put(("result", config.worker_id, result))
+                    conn.send(("result", config.worker_id, result))
                 continue
-            results.put(
-                ("error", config.worker_id, None, f"unknown task {kind!r}")
-            )
+            conn.send(("error", config.worker_id, None, f"unknown task {kind!r}"))
     finally:
         if obs is not None:
             obs.close()
+        if arena is not None:
+            arena_views.clear()
+            arena.close()
         for entry in served.values():
             for block in entry.blocks:
                 block.close()

@@ -1,6 +1,5 @@
 """Tests for the runtime sanitizers: ShmAuditor (RPR301), PoolMonitor (RPR302)."""
 
-import threading
 import time
 
 import numpy as np
@@ -136,24 +135,6 @@ class TestPoolMonitor:
                 pass
         assert any("re-entered" in f.message for f in monitor.findings())
 
-    def test_reader_threads_must_not_block(self):
-        monitor = PoolMonitor()
-        failures = []
-
-        def reader():
-            monitor.reader_loop_started(0)
-            monitor.wait_started("pong", timeout=1.0)
-            with monitor.section("tasks"):
-                pass
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        thread.join()
-        messages = [f.message for f in monitor.findings()]
-        assert any("reader thread entered a blocking wait" in m for m in messages)
-        assert any("reader thread entered section" in m for m in messages)
-        assert not failures
-
 
 class TestPoolIntegration:
     def test_worker_pool_run_is_clean_under_both_sanitizers(self):
@@ -168,7 +149,6 @@ class TestPoolIntegration:
             assert len(report.results) == trace.num_requests
             assert auditor.tracked >= 1
             assert monitor.waits_completed > 0
-            assert monitor.pumped > 0
             auditor.assert_balanced()
             monitor.assert_clean()
         finally:

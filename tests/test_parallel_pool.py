@@ -6,13 +6,17 @@ fault recovery — because CI hosts (often single-core) make wall-clock
 *speed* assertions meaningless.
 """
 
+import multiprocessing
+import time
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 
 from repro.obs import ResultsStore
 from repro.parallel import WallClockReport, WallClockResult, WorkerPool
 from repro.parallel import pool as pool_module
-from repro.resilience import crash_plan
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, crash_plan
 from repro.serve import (
     Request,
     Scheduler,
@@ -119,6 +123,127 @@ class TestFaultInjection:
             report = pool.run_trace(trace)
         for result in report.results:
             np.testing.assert_array_equal(result.y, golden[result.request_id])
+
+
+def wrong_answers(report, trace):
+    """Request ids whose y is missing, misshapen or off the reference."""
+    golden = golden_ys(trace)
+    return [
+        r.request_id
+        for r in report.results
+        if r.y is None
+        or r.y.shape != golden[r.request_id].shape
+        or not np.allclose(r.y, golden[r.request_id], rtol=1e-4, atol=1e-5)
+    ]
+
+
+@pytest.fixture
+def liveness_polls_raise(monkeypatch):
+    """Make ``Process.is_alive`` raise until the returned undo is called."""
+
+    def polled(self):
+        raise AssertionError("the pool polled Process.is_alive()")
+
+    def install():
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "is_alive", polled)
+
+    install.undo = monkeypatch.undo
+    return install
+
+
+class TestControlPlane:
+    def test_late_reply_from_an_earlier_run_is_dropped(self):
+        """A slow worker's replies to a finished run never answer the next.
+
+        Worker 1 is slowed by ~0.5 s a batch, so hedges on worker 0 win the
+        first run and worker 1's originals reply after it has ended.  Batch
+        ids restart at 0 every run: a reply matched by id alone would hand
+        the second run those stale ys.
+        """
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="slow", worker=1, at_batch=0, factor=500.0),)
+        )
+        with WorkerPool(
+            num_workers=2,
+            compute="simulate",
+            max_batch=4,
+            batch_timeout=60.0,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(hedge_after_p95=1.0, hedge_min_seconds=0.2),
+        ) as pool:
+            first = pool.run_trace(small_trace())
+            assert first.hedges >= 1
+            time.sleep(1.5)  # the stale replies are sent meanwhile
+            trace = generate_trace("mixed", 24, seed=3)
+            report = pool.run_trace(trace)
+        assert wrong_answers(first, small_trace()) == []
+        assert [r.request_id for r in report.results] == list(range(24))
+        assert wrong_answers(report, trace) == []
+
+    def test_control_messages_are_small(self, tmp_path, monkeypatch):
+        """Execute tasks and result replies carry ids, never vectors.
+
+        Below 16 KiB a pipe message is written in one ``write``, so a woken
+        reader never blocks on half a message and two senders cannot
+        deadlock.  Every pickled ``execute``/``result`` of a max_batch=32
+        mixed run is logged — workers are forked, so theirs too — and
+        checked; rmat-2k, the largest mixed matrix, fills batches of 32.
+        """
+        log = tmp_path / "messages.txt"
+        dumps = ForkingPickler.__dict__["dumps"].__func__
+
+        def recording(cls, obj, protocol=None):
+            data = dumps(cls, obj, protocol)
+            if isinstance(obj, tuple) and obj and obj[0] in ("execute", "result"):
+                batch = obj[1] if obj[0] == "execute" else obj[2]
+                with open(log, "a") as out:
+                    out.write(f"{obj[0]} {len(batch.request_ids)} {len(data)}\n")
+            return data
+
+        monkeypatch.setattr(ForkingPickler, "dumps", classmethod(recording))
+        trace = generate_trace("mixed", 240, seed=1)
+        with WorkerPool(num_workers=2, compute="simulate", max_batch=32) as pool:
+            report = pool.run_trace(trace)
+        assert wrong_answers(report, trace) == []
+        sizes = {"execute": [], "result": []}
+        for line in log.read_text().splitlines():
+            kind, requests, nbytes = line.split()
+            sizes[kind].append((int(requests), int(nbytes)))
+        for kind, seen in sizes.items():
+            assert max(requests for requests, _ in seen) == 32, kind
+            assert max(nbytes for _, nbytes in seen) < 16 * 1024, kind
+
+    def test_fault_free_run_never_polls_liveness(self, liveness_polls_raise):
+        trace = small_trace()
+        with WorkerPool(num_workers=2, compute="simulate") as pool:
+            pool.start()
+            liveness_polls_raise()
+            try:
+                report = pool.run_trace(trace)
+            finally:
+                liveness_polls_raise.undo()
+        assert wrong_answers(report, trace) == []
+        assert report.respawns == report.retries == report.inline_requests == 0
+
+    def test_crash_is_found_without_polling(self, liveness_polls_raise):
+        """The crashed worker's sentinel, not a poll, triggers its respawn."""
+        trace = small_trace()
+        with WorkerPool(
+            num_workers=2,
+            compute="simulate",
+            fault_plan=crash_plan({0: 0}),
+            batch_timeout=15.0,
+        ) as pool:
+            pool.start()
+            liveness_polls_raise()
+            try:
+                report = pool.run_trace(trace)
+            finally:
+                liveness_polls_raise.undo()
+        assert [r.request_id for r in report.results] == list(range(REQUESTS))
+        assert report.respawns >= 1
+        assert report.retries >= 1
+        assert wrong_answers(report, trace) == []
 
 
 def fifo_batches(trace, max_batch):
